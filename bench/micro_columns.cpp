@@ -130,8 +130,7 @@ main(int argc, char **argv)
     fccc::FccConfig fcfg;
     fcfg.threads = 1;
     fccc::FccTraceCompressor codec(fcfg);
-    fccc::FccCompressStats stats;
-    fccc::Datasets d = codec.buildDatasets(trace, stats);
+    fccc::Datasets d = fccc::deserializeAuto(codec.compress(trace), 1);
     auto columns = buildColumns(d);
 
     std::printf("# per-column codec x backend study, seed=2005, "

@@ -1,10 +1,14 @@
 /**
  * @file
- * Thread-scaling study of the sharded compression pipeline: wall
- * time, throughput (MB/s of TSH input, packets/s) and speedup of
- * FCC compression and decompression at 1/2/4/8 threads on the
- * synthetic web trace, plus a byte-identity check between every
- * thread count (the pipeline's determinism contract).
+ * Thread-scaling study of the in-memory FCC codec: wall time,
+ * throughput (MB/s of TSH input, packets/s) and speedup of FCC
+ * compression and decompression at 1/2/4/8 threads on the synthetic
+ * web trace, plus a byte-identity check between every thread count
+ * (the codec's determinism contract). Compression is the
+ * single-epoch session engine: flow assembly and clustering are
+ * sequential, so threads only reach the FCC3 column encode (this
+ * bench writes the default FCC2 container, so compression should
+ * not scale). Decompression expands chunks in parallel.
  *
  * Run: ./build/bench/scaling_threads [--smoke] [--json out.json]
  *
@@ -70,7 +74,7 @@ main(int argc, char **argv)
                                        trace::tshRecordBytes) /
                    1e6;
     unsigned hw = util::ThreadPool::hardwareThreads();
-    std::printf("# thread scaling of the sharded FCC pipeline\n");
+    std::printf("# thread scaling of the in-memory FCC codec\n");
     std::printf("# workload: synthetic web trace, seed=%llu, "
                 "%zu packets, %.1f MB as TSH%s\n",
                 static_cast<unsigned long long>(cfg.seed),

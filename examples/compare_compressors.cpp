@@ -75,8 +75,9 @@ main(int argc, char **argv)
               "on it)",
               [&](const char *v) {
                   fccCfg.threads = static_cast<uint32_t>(
-                      cli::parseUnsigned("--threads", v, 0,
-                                         UINT32_MAX));
+                      cli::parseUnsigned(
+                          "--threads", v, 0,
+                          codec::fcc::FccConfig::maxThreads));
               });
     flags.add("--container", "FMT",
               "fcc1|fcc2|fcc3 wire container of the\n"

@@ -131,8 +131,9 @@ main(int argc, char **argv)
     flags.add("--threads", "N", "workers, 0 = all cores (default)",
               [&](const char *v) {
                   cfg.threads = static_cast<uint32_t>(
-                      cli::parseUnsigned("--threads", v, 0,
-                                         UINT32_MAX));
+                      cli::parseUnsigned(
+                          "--threads", v, 0,
+                          codec::fcc::FccConfig::maxThreads));
               });
     flags.add("--out-format", "F",
               "auto|tsh|pcap|pcapng (default auto:\n"

@@ -130,8 +130,9 @@ main(int argc, char **argv)
               "0 = all cores (default)",
               [&](const char *v) {
                   serverCfg.threads = static_cast<uint32_t>(
-                      cli::parseUnsigned("--threads", v, 0,
-                                         UINT32_MAX));
+                      cli::parseUnsigned(
+                          "--threads", v, 0,
+                          codec::fcc::FccConfig::maxThreads));
                   cfg.threads = serverCfg.threads;
               });
     flags.add("--count",

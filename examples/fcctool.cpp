@@ -316,8 +316,9 @@ main(int argc, char **argv)
               "output bytes never depend on it)",
               [&](const char *v) {
                   cfg.threads = static_cast<uint32_t>(
-                      cli::parseUnsigned("--threads", v, 0,
-                                         UINT32_MAX));
+                      cli::parseUnsigned(
+                          "--threads", v, 0,
+                          codec::fcc::FccConfig::maxThreads));
               });
     flags.add("--chunk-records", "N",
               "time-seq records per chunk (default 4096;\n"

@@ -7,24 +7,74 @@
  *
  * Usage:
  *   ./build/examples/synthetic_trace_gen [seconds] [flows/s] [seed]
+ *   ./build/examples/synthetic_trace_gen --scenario <kind>|all [seed]
  *
- * Writes synthetic.tsh and synthetic.pcap in the working directory.
+ * The first form writes synthetic.tsh and synthetic.pcap in the
+ * working directory. The second writes <kind>.tsh for one
+ * adversarial scenario of trace/scenario_gen.hpp (or for every kind),
+ * at the per-kind default shape.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
 #include "trace/pcap.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
+#include "util/error.hpp"
 
 using namespace fcc;
+
+namespace {
+
+int
+writeScenarios(const std::string &which, uint64_t seed)
+{
+    std::vector<trace::ScenarioKind> kinds;
+    try {
+        kinds = which == "all"
+            ? trace::allScenarios()
+            : std::vector{trace::parseScenarioName(which)};
+    } catch (const util::Error &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+    for (trace::ScenarioKind kind : kinds) {
+        trace::ScenarioGenerator gen(
+            trace::scenarioDefaults(kind, seed));
+        trace::Trace tr = gen.generate();
+        std::string path =
+            std::string(trace::scenarioName(kind)) + ".tsh";
+        trace::writeTshFile(tr, path);
+        std::printf("wrote %s (%zu records)\n", path.c_str(),
+                    tr.size());
+    }
+    return 0;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
+    if (argc > 1 && std::strcmp(argv[1], "--scenario") == 0) {
+        if (argc < 3) {
+            std::fprintf(stderr,
+                         "usage: %s --scenario <kind>|all [seed]\n",
+                         argv[0]);
+            return 1;
+        }
+        return writeScenarios(
+            argv[2], argc > 3
+                         ? static_cast<uint64_t>(std::atoll(argv[3]))
+                         : 1u);
+    }
     trace::WebGenConfig cfg;
     cfg.durationSec = argc > 1 ? std::atof(argv[1]) : 30.0;
     cfg.flowsPerSec = argc > 2 ? std::atof(argv[2]) : 100.0;

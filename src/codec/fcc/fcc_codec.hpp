@@ -61,13 +61,17 @@ struct FccConfig
     uint32_t shortLimit = 50;     ///< short/long split (packets)
     flow::FlowTableConfig flowTable;
 
+    /** Largest explicit thread count validate() accepts. */
+    static constexpr uint32_t maxThreads = 1024;
+
     /**
-     * Worker threads of the sharded pipeline; 0 means
-     * hardware_concurrency, 1 runs everything on the calling thread.
-     * Output is byte-identical for every value: the shard count
-     * (flowTable.shards) and the chunk size (chunkRecords) fix the
-     * work decomposition, threads only decide how much of it runs
-     * concurrently.
+     * Worker threads; 0 means hardware_concurrency, 1 runs
+     * everything on the calling thread. Flow assembly and clustering
+     * are sequential; threads only parallelize the FCC3 column
+     * encode/decode and the per-chunk expansion on decompression.
+     * Output is byte-identical for every value: the chunk size
+     * (chunkRecords) fixes the work decomposition, threads only
+     * decide how much of it runs concurrently. At most maxThreads.
      */
     uint32_t threads = 0;
 
@@ -153,18 +157,22 @@ struct FccConfig
     /**
      * The single validation entry point: every constraint between
      * the knobs above (container/backend tags in range, the index
-     * needs the chunked fcc3 layout, decodable weights, a non-empty
-     * shard partition) checked in one place. Sessions validate on
-     * open, the tools validate right after flag parsing, and the
-     * query catalog validates what it plans with — all through this
-     * method, so a bad combination fails the same way everywhere.
+     * needs the chunked fcc3 layout, decodable weights whose S
+     * values fit one byte, a short/long split of at least one
+     * packet, at most maxThreads workers) checked in one place.
+     * Sessions and FccTraceCompressor validate on construction,
+     * before any thread pool exists; the tools validate right after
+     * flag parsing, and the query catalog validates what it plans
+     * with — all through this method, so a bad combination fails the
+     * same way everywhere.
      *
      * @throws fcc::util::Error naming the offending combination.
      */
     void validate() const;
 };
 
-/** Compression-side statistics (cluster behaviour, §2.1/§3). */
+/** Compression-side statistics (cluster behaviour, §2.1/§3), a
+ *  view of the seal's SealInfo (session.hpp). */
 struct FccCompressStats
 {
     uint64_t flows = 0;
@@ -183,10 +191,16 @@ struct FccCompressStats
     }
 };
 
-/** The proposed flow-clustering trace compressor. */
+/**
+ * The proposed flow-clustering trace compressor. compress() runs
+ * the same engine as the file tools: a single-epoch CompressSession
+ * (session.hpp) fed the in-memory trace, so it writes exactly the
+ * bytes compressTraceFile() writes for the same packets and config.
+ */
 class FccTraceCompressor : public TraceCompressor
 {
   public:
+    /** @throws fcc::util::Error when cfg does not validate. */
     explicit FccTraceCompressor(const FccConfig &cfg = {});
 
     std::string name() const override { return "fcc"; }
@@ -202,11 +216,6 @@ class FccTraceCompressor : public TraceCompressor
     std::vector<uint8_t>
     compressWithStats(const trace::Trace &trace,
                       FccCompressStats &stats) const;
-
-    /** Build the in-memory datasets without serializing. */
-    Datasets
-    buildDatasets(const trace::Trace &trace,
-                  FccCompressStats &stats) const;
 
     /**
      * Expand in-memory datasets into a reconstructed trace. Chunked

@@ -3,16 +3,19 @@
  * Session-based compression/decompression: the open-ended epoch
  * machinery the one-shot wrappers of stream.cpp and the archiver
  * daemon (src/archive) both run on. The flow-closing rules are the
- * paper's §3 (graceful FIN/FIN/ACK, RST, idle timeout), the
- * reconstruction path the §4 bounded-memory flush.
+ * paper's §3 (graceful FIN/FIN/ACK, RST, idle timeout, shared with
+ * FlowTable through flow::Connection), the reconstruction path the
+ * §4 bounded-memory flush.
  */
 
 #include "codec/fcc/session.hpp"
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <queue>
 
+#include "flow/connection.hpp"
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
@@ -21,19 +24,19 @@
 namespace fcc::codec::fcc {
 
 /**
- * Incremental single-flow state: enough to classify packets online
- * (the dependence bit only needs the previous packet's direction)
- * and to emit the flow's datasets entry when it closes.
+ * Incremental single-flow state: the shared connection tracker plus
+ * enough to classify packets online (the dependence bit only needs
+ * the previous packet's direction) and to emit the flow's datasets
+ * entry when it closes.
  */
 struct CompressSession::OpenFlow
 {
-    uint32_t clientIp = 0;
-    uint16_t clientPort = 0;
-    uint32_t serverIp = 0;
-    bool clientKnown = false;
+    explicit OpenFlow(const trace::PacketRecord &first) : conn(first)
+    {
+    }
+
+    flow::Connection conn;
     bool prevFromClient = true;
-    bool finFromClient = false;
-    bool finFromServer = false;
     uint32_t rttUs = 0;  ///< first direction-change gap
     std::vector<uint16_t> sValues;
     std::vector<uint64_t> packetUs;
@@ -69,33 +72,23 @@ CompressSession::feed(const trace::PacketRecord &pkt)
 
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
     auto it = open_.find(key);
-    if (it != open_.end() && cfg_.flowTable.idleTimeoutNs > 0 &&
-        !it->second.packetUs.empty() &&
-        pkt.timestampNs - it->second.packetUs.back() * 1000 >
-            cfg_.flowTable.idleTimeoutNs) {
-        closeFlow(it->second);
+    if (it != open_.end() &&
+        it->second.conn.idleExpired(pkt,
+                                    cfg_.flowTable.idleTimeoutNs)) {
+        closeFlow(key, it->second);
         open_.erase(it);
         it = open_.end();
     }
     if (it == open_.end())
-        it = open_.emplace(key, OpenFlow{}).first;
+        it = open_.try_emplace(key, pkt).first;
     OpenFlow &flowState = it->second;
 
-    if (!flowState.clientKnown) {
-        bool synAck = pkt.hasSyn() && pkt.hasAck();
-        flowState.clientIp = synAck ? pkt.dstIp : pkt.srcIp;
-        flowState.clientPort = synAck ? pkt.dstPort : pkt.srcPort;
-        flowState.serverIp = synAck ? pkt.srcIp : pkt.dstIp;
-        flowState.clientKnown = true;
-    }
-    bool fromClient = pkt.srcIp == flowState.clientIp &&
-                      pkt.srcPort == flowState.clientPort;
-
+    flow::Connection::Step step = flowState.conn.observe(pkt);
     flow::PacketClass cls;
     cls.flag = flow::flagClass(pkt.tcpFlags);
     cls.size = flow::sizeClass(pkt.payloadBytes);
     cls.dependent = !flowState.sValues.empty() &&
-                    fromClient != flowState.prevFromClient;
+                    step.fromClient != flowState.prevFromClient;
     if (cls.dependent && flowState.rttUs == 0) {
         uint64_t gap = pkt.timestampUs() - flowState.packetUs.back();
         flowState.rttUs = static_cast<uint32_t>(
@@ -103,20 +96,11 @@ CompressSession::feed(const trace::PacketRecord &pkt)
     }
     flowState.sValues.push_back(chi_.encode(cls));
     flowState.packetUs.push_back(pkt.timestampUs());
-    flowState.prevFromClient = fromClient;
+    flowState.prevFromClient = step.fromClient;
 
-    if (pkt.hasFin()) {
-        if (fromClient)
-            flowState.finFromClient = true;
-        else
-            flowState.finFromServer = true;
-    }
-    bool gracefulDone = flowState.finFromClient &&
-                        flowState.finFromServer && !pkt.hasFin() &&
-                        pkt.hasAck();
-    if (pkt.hasRst() || gracefulDone) {
-        closeFlow(flowState);
-        open_.erase(key);
+    if (step.closes) {
+        closeFlow(key, flowState);
+        open_.erase(it);
     }
 }
 
@@ -143,20 +127,14 @@ CompressSession::rotateChunk()
 }
 
 void
-CompressSession::closeFlow(OpenFlow &flowState)
+CompressSession::closeFlow(const flow::FlowKey &key,
+                           OpenFlow &flowState)
 {
-    if (flowState.sValues.empty())
-        return;
     ++stats_.flows;
     TimeSeqRecord rec;
     rec.firstTimestampUs = flowState.packetUs.front();
-
-    auto [it, isNew] = addrIndex_.try_emplace(
-        flowState.serverIp,
-        static_cast<uint32_t>(datasets_.addresses.size()));
-    if (isNew)
-        datasets_.addresses.push_back(flowState.serverIp);
-    rec.addressIndex = it->second;
+    // Provisional: the server address itself, renumbered at seal.
+    rec.addressIndex = flowState.conn.serverIp;
 
     if (flowState.sValues.size() <= cfg_.shortLimit) {
         flow::SfVector sf;
@@ -164,19 +142,9 @@ CompressSession::closeFlow(OpenFlow &flowState)
         flow::TemplateMatch match = store_.findOrInsert(sf);
         if (match.isNew)
             ++templatesNew_;
-        // Compact to per-epoch template indices (first-use order) so
-        // a sealed archive only carries the templates it references
-        // — self-contained whatever earlier epochs left in the
-        // store. With a cold store this is the identity map, which
-        // is what keeps single-epoch output bit-identical to the
-        // historical one-shot path.
-        auto [rit, isNewRef] = templateRemap_.try_emplace(
-            match.index,
-            static_cast<uint32_t>(templateOrder_.size()));
-        if (isNewRef)
-            templateOrder_.push_back(match.index);
         rec.isLong = false;
-        rec.templateIndex = rit->second;
+        // Provisional: the store index, compacted at seal.
+        rec.templateIndex = match.index;
         rec.rttUs = flowState.rttUs;
     } else {
         LongTemplate tmpl;
@@ -192,6 +160,66 @@ CompressSession::closeFlow(OpenFlow &flowState)
         datasets_.longTemplates.push_back(std::move(tmpl));
     }
     datasets_.timeSeq.push_back(rec);
+    sealKeys_.push_back({flowState.conn.firstTimestampNs, key});
+}
+
+void
+CompressSession::sortCanonically()
+{
+    // Canonical record order, whatever order the flows closed in;
+    // the close index breaks the (rare) tie of one 5-tuple starting
+    // twice in the same nanosecond.
+    std::vector<uint32_t> order(datasets_.timeSeq.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [this](uint32_t a, uint32_t b) {
+                  auto ka = flow::canonicalFlowOrderKey(
+                      sealKeys_[a].firstTimestampNs, sealKeys_[a].key);
+                  auto kb = flow::canonicalFlowOrderKey(
+                      sealKeys_[b].firstTimestampNs, sealKeys_[b].key);
+                  return ka != kb ? ka < kb : a < b;
+              });
+    // The keys have served; free them before the serializer's
+    // buffers.
+    sealKeys_ = {};
+
+    // Number addresses and templates in first-use order over the
+    // sorted records. Short templates compact to the store entries
+    // this epoch references, so a sealed archive is self-contained
+    // whatever earlier epochs left in a carried store.
+    std::vector<TimeSeqRecord> sorted;
+    sorted.reserve(order.size());
+    std::vector<LongTemplate> longTemplates;
+    longTemplates.reserve(datasets_.longTemplates.size());
+    std::unordered_map<uint32_t, uint32_t> addrIndex;
+    std::unordered_map<uint32_t, uint32_t> shortIndex;
+    for (uint32_t i : order) {
+        TimeSeqRecord rec = datasets_.timeSeq[i];
+        auto [ait, isNewAddr] = addrIndex.try_emplace(
+            rec.addressIndex,
+            static_cast<uint32_t>(datasets_.addresses.size()));
+        if (isNewAddr)
+            datasets_.addresses.push_back(rec.addressIndex);
+        rec.addressIndex = ait->second;
+        if (rec.isLong) {
+            longTemplates.push_back(std::move(
+                datasets_.longTemplates[rec.templateIndex]));
+            rec.templateIndex =
+                static_cast<uint32_t>(longTemplates.size() - 1);
+        } else {
+            auto [tit, isNewRef] = shortIndex.try_emplace(
+                rec.templateIndex,
+                static_cast<uint32_t>(
+                    datasets_.shortTemplates.size()));
+            if (isNewRef)
+                datasets_.shortTemplates.push_back(
+                    store_.at(rec.templateIndex));
+            rec.templateIndex = tit->second;
+        }
+        sorted.push_back(rec);
+    }
+    datasets_.timeSeq = std::move(sorted);
+    datasets_.longTemplates = std::move(longTemplates);
 }
 
 std::vector<uint8_t>
@@ -202,18 +230,9 @@ CompressSession::seal(SealInfo *info)
     sealed_ = true;
 
     for (auto &[key, flowState] : open_)
-        closeFlow(flowState);
+        closeFlow(key, flowState);
     open_.clear();
-    // Flows close out of order; the time-seq dataset is sorted by
-    // first-packet timestamp (one record per flow).
-    std::sort(datasets_.timeSeq.begin(), datasets_.timeSeq.end(),
-              [](const TimeSeqRecord &a, const TimeSeqRecord &b) {
-                  return a.firstTimestampUs < b.firstTimestampUs;
-              });
-    datasets_.shortTemplates.clear();
-    datasets_.shortTemplates.reserve(templateOrder_.size());
-    for (uint32_t storeIndex : templateOrder_)
-        datasets_.shortTemplates.push_back(store_.at(storeIndex));
+    sortCanonically();
 
     // Explicit time-based chunk cuts (rotateChunk): records are now
     // sorted by flow start, so "everything started by the cut" is a
@@ -247,8 +266,8 @@ CompressSession::seal(SealInfo *info)
     }
 
     SizeBreakdown sizes;
-    // Container dispatch (FCC1/FCC2/FCC3) shared with the in-memory
-    // codec; FCC3 runs its per-column encode jobs on cfg.threads.
+    // Container dispatch (FCC1/FCC2/FCC3); FCC3 runs its per-column
+    // encode jobs on cfg.threads.
     std::vector<uint8_t> bytes =
         serializeDatasets(datasets_, cfg_, sizes);
 
@@ -275,6 +294,9 @@ CompressSession::seal(SealInfo *info)
             : 0;
         info->maxLastUs = lastNs_ / 1000;
         info->templatesNew = templatesNew_;
+        info->longFlows = datasets_.longTemplates.size();
+        info->shortFlows = records - info->longFlows;
+        info->sizes = sizes;
     }
     return bytes;
 }
@@ -299,9 +321,7 @@ CompressSession::resetEpoch()
     // count, and seal()'s final sweep iterates this map — a re-armed
     // epoch must walk it in exactly a fresh session's order.
     open_ = decltype(open_){};
-    addrIndex_.clear();
-    templateRemap_.clear();
-    templateOrder_.clear();
+    sealKeys_.clear();
     chunkCutsUs_.clear();
     lastNs_ = 0;
     firstUs_ = 0;
@@ -327,6 +347,7 @@ CompressSession::reArm()
 DecompressSession::DecompressSession(const FccConfig &cfg)
     : cfg_(cfg)
 {
+    cfg_.validate();
 }
 
 void

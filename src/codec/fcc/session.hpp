@@ -12,15 +12,24 @@
  * into one self-contained archive — after which reArm() starts the
  * next epoch without rebuilding the session.
  *
+ * The session is the codec's only compress engine: the one-shot
+ * file entry points of stream.hpp and the in-memory
+ * FccTraceCompressor::compress() are single-epoch sessions.
+ *
+ * Seal order: flows are characterized and clustered as they close,
+ * but seal() writes them in canonical flow order
+ * (flow::canonicalFlowOrderKey: first-packet ns, then 5-tuple) and
+ * numbers the address table and both template tables in first-use
+ * order over that sequence. The archive's layout therefore does not
+ * depend on the order in which flows happened to close.
+ *
  * Template carry: the short-flow cluster store (flow::TemplateStore)
  * survives seal()/reArm() when SessionOptions::carryTemplates is
  * set, so a re-armed epoch matches recurring behaviour against the
  * clusters earlier epochs already learned instead of re-growing them
- * from nothing (the recluster warm-up a cold run pays). Sealed
- * archives stay self-contained either way: each epoch serializes
- * only the templates it referenced, renumbered in first-use order —
- * which is also why a single-epoch session is bit-identical to the
- * historical one-shot path, and why a carry-off session's epochs are
+ * from nothing. Sealed archives stay self-contained either way: each
+ * epoch serializes only the templates it referenced, renumbered in
+ * first-use order — which is why a carry-off session's epochs are
  * bit-identical to independent one-shot runs over the split input.
  *
  * DecompressSession is the matching read side: one session holds the
@@ -67,6 +76,9 @@ struct SealInfo
     uint64_t minFirstUs = 0;  ///< earliest flow start (µs), 0 if none
     uint64_t maxLastUs = 0;   ///< latest packet timestamp seen (µs)
     uint64_t templatesNew = 0;///< clusters created this epoch
+    uint64_t shortFlows = 0;  ///< records matched to a cluster
+    uint64_t longFlows = 0;   ///< records stored verbatim
+    SizeBreakdown sizes;      ///< serialized dataset sizes
 };
 
 /**
@@ -78,9 +90,8 @@ struct SealInfo
  * starts the next epoch. Input must be time-ordered within an epoch;
  * reArm() resets the clock, so epochs may restart from zero.
  *
- * The one-shot wrappers of stream.hpp are thin shells over a
- * single-epoch session; anything they can produce, a session seals
- * byte-identically.
+ * The one-shot wrappers of stream.hpp and FccTraceCompressor are
+ * thin shells over a single-epoch session.
  */
 class CompressSession
 {
@@ -176,7 +187,8 @@ class CompressSession
   private:
     struct OpenFlow;
 
-    void closeFlow(OpenFlow &flowState);
+    void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
+    void sortCanonically();
     void resetEpoch();
 
     FccConfig cfg_;
@@ -184,14 +196,21 @@ class CompressSession
     flow::Characterizer chi_;
     flow::TemplateStore store_;
 
-    // Per-epoch state, reset by reArm().
+    /** Canonical sort key of one closed flow's record. */
+    struct SealKey
+    {
+        uint64_t firstTimestampNs = 0;
+        flow::FlowKey key;
+    };
+
+    // Per-epoch state, reset by reArm(). Until seal() a closed
+    // record holds its server address in addressIndex and, if short,
+    // its template-store index in templateIndex; seal() sorts the
+    // records and renumbers both.
     Datasets datasets_;
+    /** Parallel to datasets_.timeSeq until seal(). */
+    std::vector<SealKey> sealKeys_;
     std::unordered_map<flow::FlowKey, OpenFlow> open_;
-    std::unordered_map<uint32_t, uint32_t> addrIndex_;
-    /** store index -> this epoch's compacted template index. */
-    std::unordered_map<uint32_t, uint32_t> templateRemap_;
-    /** store indices referenced this epoch, in first-use order. */
-    std::vector<uint32_t> templateOrder_;
     /** rotateChunk() cut positions: last fed timestamp (µs). */
     std::vector<uint64_t> chunkCutsUs_;
     uint64_t lastNs_ = 0;
@@ -214,6 +233,10 @@ class CompressSession
 class DecompressSession
 {
   public:
+    /**
+     * @throws fcc::util::Error when cfg does not validate
+     *         (FccConfig::validate()).
+     */
     explicit DecompressSession(const FccConfig &cfg = {});
 
     DecompressSession(const DecompressSession &) = delete;

@@ -6,7 +6,9 @@
  * Mirrors the paper's compressor front end (§3): packets are grouped
  * by canonical 5-tuple; a connection is flushed when its teardown
  * completes (RST, or the ACK following FINs in both directions), when
- * it stays idle longer than a timeout, or at end of trace.
+ * it stays idle longer than a timeout, or at end of trace. Those
+ * per-connection rules live in flow/connection.hpp, shared with the
+ * compressor's session.
  */
 
 #ifndef FCC_FLOW_FLOW_TABLE_HPP
@@ -14,16 +16,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <tuple>
 #include <vector>
 
 #include "flow/flow_key.hpp"
 #include "trace/trace.hpp"
-
-namespace fcc::util {
-class ThreadPool;
-}
 
 namespace fcc::flow {
 
@@ -52,24 +49,15 @@ struct FlowTableConfig
 {
     /** Idle gap that closes a connection (0 disables). */
     uint64_t idleTimeoutNs = 60ull * 1000000000ull;
-    /** Drop single-packet groups (the paper's flows start at 2). */
-    bool dropSinglePacketFlows = false;
-    /**
-     * Shard count of the sharded pipeline. Connections are
-     * partitioned by 5-tuple hash, so every packet of a connection
-     * lands in one shard and shards assemble independently. The
-     * count is part of the output contract — it must NOT be derived
-     * from the thread count, or compressed output would change with
-     * the machine (see FccConfig::threads).
-     */
-    uint32_t shards = 16;
 };
 
 /**
  * Sort key of the deterministic flow order: first-packet timestamp,
  * ties broken by the canonical 5-tuple. Every code path that orders
- * flows (per-shard sort, cross-shard merge) must use this one key or
- * merged output would depend on the decomposition.
+ * flows (FlowTable::assemble, the compressor's seal) uses this one
+ * key, so the compressed time-seq dataset lists flows in exactly the
+ * order the analysis side assembles them, whatever order they
+ * closed in.
  */
 inline auto
 canonicalFlowOrderKey(uint64_t firstTimestampNs, const FlowKey &key)
@@ -84,9 +72,9 @@ bool canonicalFlowLess(const AssembledFlow &a, const AssembledFlow &b);
 /**
  * Assembles connections out of a packet trace.
  *
- * The input must be time-ordered; flows are returned ordered by their
- * first packet's timestamp, matching the paper's time-seq dataset
- * order.
+ * The input must be time-ordered; flows are returned in
+ * canonicalFlowLess order (first packet's timestamp, then 5-tuple),
+ * matching the compressor's time-seq dataset order.
  */
 class FlowTable
 {
@@ -99,36 +87,6 @@ class FlowTable
      * @throws fcc::util::Error if @p trace is not time-ordered.
      */
     std::vector<AssembledFlow> assemble(const trace::Trace &trace) const;
-
-    /**
-     * Partition packet indices by 5-tuple hash into cfg.shards
-     * time-ordered lists. The result depends only on the trace and
-     * the shard count, never on @p pool (which merely parallelizes
-     * the scan); pass nullptr to run on the calling thread.
-     */
-    std::vector<std::vector<uint32_t>>
-    partition(const trace::Trace &trace, util::ThreadPool *pool) const;
-
-    /**
-     * Assemble the connections of one shard: @p indices must be a
-     * time-ordered packet-index list that is closed under flow
-     * membership (all packets of a 5-tuple or none — partition()
-     * guarantees this). Flows are returned in canonicalFlowLess
-     * order with dropSinglePacketFlows applied.
-     */
-    std::vector<AssembledFlow>
-    assembleIndices(const trace::Trace &trace,
-                    std::span<const uint32_t> indices) const;
-
-    /**
-     * partition() + per-shard assembleIndices(), shards run
-     * concurrently on @p pool (nullptr = sequential). Element s holds
-     * shard s's flows; the concatenation sorted by canonicalFlowLess
-     * equals assemble() up to tie order.
-     */
-    std::vector<std::vector<AssembledFlow>>
-    assembleSharded(const trace::Trace &trace,
-                    util::ThreadPool *pool) const;
 
   private:
     FlowTableConfig cfg_;

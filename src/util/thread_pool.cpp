@@ -5,7 +5,7 @@
  * on an outstanding-task counter and rethrows task exceptions.
  *
  * Bookkeeping (queued / outstanding counters) lives under one mutex:
- * tasks in this codebase are coarse (one per shard or chunk), so
+ * tasks in this codebase are coarse (one per column or chunk), so
  * simplicity beats lock-free cleverness here.
  */
 

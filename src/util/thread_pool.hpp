@@ -1,13 +1,13 @@
 /**
  * @file
- * Small work-stealing thread pool used by the parallel compression
- * pipeline.
+ * Small work-stealing thread pool behind the FCC3 column jobs, the
+ * per-chunk expansion and the query server.
  *
  * Each worker owns a deque; submitted tasks are distributed
  * round-robin and an idle worker steals from the back of a peer's
  * deque. The pool is a throughput device, not an ordering device —
  * callers that need determinism must make tasks write to
- * pre-partitioned slots (e.g. one result per shard) so the outcome is
+ * pre-partitioned slots (e.g. one result per chunk) so the outcome is
  * independent of execution order.
  */
 

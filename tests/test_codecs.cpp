@@ -445,8 +445,7 @@ TEST(Fcc, DatasetSerializationRoundTrip)
 {
     Trace t = webTrace(16, 4.0);
     fccc::FccTraceCompressor codec;
-    fccc::FccCompressStats stats;
-    fccc::Datasets d = codec.buildDatasets(t, stats);
+    fccc::Datasets d = fccc::deserializeAuto(codec.compress(t), 1);
     auto bytes = fccc::serialize(d);
     fccc::Datasets back = fccc::deserialize(bytes);
     EXPECT_EQ(back.shortTemplates.size(), d.shortTemplates.size());

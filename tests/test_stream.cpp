@@ -1,7 +1,9 @@
 /**
  * @file
- * Streaming (file-to-file) FCC interface tests: equivalence with the
- * in-memory codec, the §4 incremental flush, and error paths.
+ * Streaming (file-to-file) FCC interface tests: byte equality with
+ * the in-memory codec (one engine), the session's flow rules and
+ * canonical seal order, construction-time config bounds, the §4
+ * incremental flush, and error paths.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <iterator>
 
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/session.hpp"
 #include "codec/fcc/stream.hpp"
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
@@ -51,6 +54,14 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &data)
               static_cast<std::streamsize>(data.size()));
 }
 
+std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 /** Field-wise total order so traces compare as multisets. */
 bool
 packetLess(const trace::PacketRecord &a, const trace::PacketRecord &b)
@@ -82,10 +93,7 @@ TEST(Stream, CompressedFileDecodesLikeInMemory)
 
     // The file decodes with the normal codec and preserves flow
     // structure exactly.
-    std::ifstream in(fccOut, std::ios::binary);
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    std::vector<uint8_t> bytes = readFile(fccOut);
     fccc::FccTraceCompressor codec;
     trace::Trace restored = codec.decompress(bytes);
     EXPECT_EQ(restored.size(), original.size());
@@ -104,22 +112,173 @@ TEST(Stream, CompressedFileDecodesLikeInMemory)
 
 TEST(Stream, StreamingRatioMatchesInMemory)
 {
-    trace::Trace original = webTrace(32, 6.0);
+    // One engine: the in-memory codec and the file path write the
+    // same bytes in every container/backend/index/fidelity cell, at
+    // every thread count. The in-memory side compresses the trace as
+    // the file holds it (TSH keeps microseconds).
     std::string tshIn = tempPath("ratio_in.tsh");
     std::string fccOut = tempPath("ratio_out.fcc");
-    trace::writeTshFile(original, tshIn);
+    trace::writeTshFile(webTrace(32, 6.0), tshIn);
+    trace::Trace original = trace::readTshFile(tshIn);
 
-    auto stats = fccc::compressTraceFile(tshIn, fccOut, {}, kTsh);
-    fccc::FccTraceCompressor codec;
-    size_t inMemory = codec.compress(original).size();
-    // Template indices can differ (flows close in a different order)
-    // but the sizes must be nearly identical.
-    EXPECT_NEAR(static_cast<double>(stats.outputBytes),
-                static_cast<double>(inMemory),
-                static_cast<double>(inMemory) * 0.02);
+    std::vector<fccc::FccConfig> cells;
+    for (fccc::ContainerFormat container :
+         {fccc::ContainerFormat::Fcc1, fccc::ContainerFormat::Fcc2}) {
+        for (bool hybrid : {false, true}) {
+            fccc::FccConfig cfg;
+            cfg.container = container;
+            cfg.chunkRecords =
+                container == fccc::ContainerFormat::Fcc1 ? 0 : 256;
+            cfg.deflateDatasets = hybrid;
+            cells.push_back(cfg);
+        }
+    }
+    for (auto backend : {codec::backend::EntropyBackend::Store,
+                         codec::backend::EntropyBackend::Deflate,
+                         codec::backend::EntropyBackend::Range,
+                         codec::backend::EntropyBackend::RangeLanes}) {
+        for (bool index : {false, true}) {
+            fccc::FccConfig cfg;
+            cfg.container = fccc::ContainerFormat::Fcc3;
+            cfg.backend = backend;
+            cfg.chunkRecords = 256;
+            cfg.index = index;
+            cells.push_back(cfg);
+        }
+    }
+    for (fccc::Fidelity tier : {fccc::Fidelity::Quantized,
+                                fccc::Fidelity::Header,
+                                fccc::Fidelity::Flow}) {
+        fccc::FccConfig cfg;
+        cfg.container = fccc::ContainerFormat::Fcc3;
+        cfg.chunkRecords = 256;
+        cfg.index = true;
+        cfg.fidelity = tier;
+        cells.push_back(cfg);
+    }
+
+    for (fccc::FccConfig cfg : cells) {
+        std::vector<uint8_t> reference;
+        for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(
+                std::string(fccc::containerFormatName(cfg.container)) +
+                " backend " +
+                std::to_string(static_cast<int>(cfg.backend)) +
+                " fidelity " +
+                std::to_string(static_cast<int>(cfg.fidelity)) +
+                (cfg.index ? " indexed" : "") +
+                (cfg.deflateDatasets ? " hybrid" : "") + ", threads " +
+                std::to_string(threads));
+            cfg.threads = threads;
+            auto stats =
+                fccc::compressTraceFile(tshIn, fccOut, cfg, kTsh);
+            auto inMemory =
+                fccc::FccTraceCompressor(cfg).compress(original);
+            EXPECT_EQ(stats.outputBytes, inMemory.size());
+            EXPECT_EQ(readFile(fccOut), inMemory);
+            if (reference.empty())
+                reference = inMemory;
+            EXPECT_EQ(inMemory, reference);
+        }
+    }
 
     std::remove(tshIn.c_str());
     std::remove(fccOut.c_str());
+}
+
+TEST(Stream, IdleTimeoutIsNanosecondExact)
+{
+    // Two same-5-tuple ACKs exactly one idle timeout apart, the
+    // first off a microsecond boundary: the gap does not exceed the
+    // timeout, so both assemblers must see one connection.
+    trace::PacketRecord pkt;
+    pkt.srcIp = 0x0a000001;
+    pkt.dstIp = 0x0a000002;
+    pkt.srcPort = 40000;
+    pkt.dstPort = 80;
+    pkt.tcpFlags = trace::tcp_flags::Ack;
+    trace::Trace tr;
+    pkt.timestampNs = 1000000500ull;
+    tr.add(pkt);
+    pkt.timestampNs += flow::FlowTableConfig{}.idleTimeoutNs;
+    tr.add(pkt);
+
+    size_t assembled = flow::FlowTable().assemble(tr).size();
+    EXPECT_EQ(assembled, 1u);
+
+    fccc::CompressSession session(fccc::FccConfig{});
+    session.feed(std::span<const trace::PacketRecord>(tr.packets()));
+    fccc::SealInfo info;
+    session.seal(&info);
+    EXPECT_EQ(info.records, assembled);
+}
+
+TEST(Stream, SealOrderIsCanonicalNotCloseOrder)
+{
+    // Flows a and b start within one microsecond; b (later by ns,
+    // smaller 5-tuple) is torn down first. The sealed time-seq must
+    // list them in canonicalFlowOrderKey order — a before b — not in
+    // close order, µs order or 5-tuple order.
+    auto packet = [](uint32_t server, uint64_t ns, uint8_t flags) {
+        trace::PacketRecord pkt;
+        pkt.srcIp = 0x0a000001;
+        pkt.dstIp = server;
+        pkt.srcPort = 40000;
+        pkt.dstPort = 80;
+        pkt.tcpFlags = flags;
+        pkt.timestampNs = ns;
+        return pkt;
+    };
+    using namespace trace::tcp_flags;
+    const uint32_t serverA = 0x14000002;
+    const uint32_t serverB = 0x14000001;
+    trace::PacketRecord a0 = packet(serverA, 5000000100ull, Syn);
+    trace::PacketRecord b0 = packet(serverB, 5000000200ull, Syn);
+    trace::PacketRecord b1 = packet(serverB, 5001000000ull, Rst);
+    trace::PacketRecord a1 = packet(serverA, 5002000000ull, Rst);
+    ASSERT_LT(flow::canonicalFlowOrderKey(
+                  a0.timestampNs, flow::FlowKey::fromPacket(a0)),
+              flow::canonicalFlowOrderKey(
+                  b0.timestampNs, flow::FlowKey::fromPacket(b0)));
+    ASSERT_LT(flow::FlowKey::fromPacket(b0).ipB,
+              flow::FlowKey::fromPacket(a0).ipB);
+
+    fccc::CompressSession session(fccc::FccConfig{});
+    for (const auto &pkt : {a0, b0, b1, a1})
+        session.feed(pkt);
+    fccc::Datasets d = fccc::deserializeAuto(session.seal(), 1);
+    ASSERT_EQ(d.timeSeq.size(), 2u);
+    EXPECT_EQ(d.addresses[d.timeSeq[0].addressIndex], serverA);
+    EXPECT_EQ(d.addresses[d.timeSeq[1].addressIndex], serverB);
+    // First-use numbering over the sorted records.
+    EXPECT_EQ(d.timeSeq[0].addressIndex, 0u);
+    EXPECT_EQ(d.timeSeq[1].addressIndex, 1u);
+}
+
+TEST(Stream, ThreadCountIsBoundedAtConstruction)
+{
+    // Every constructor validates, so an absurd worker count fails
+    // before any thread pool could be built.
+    for (uint32_t threads :
+         {fccc::FccConfig::maxThreads + 1, uint32_t{UINT32_MAX}}) {
+        fccc::FccConfig cfg;
+        cfg.threads = threads;
+        EXPECT_THROW(cfg.validate(), util::Error);
+        EXPECT_THROW(fccc::CompressSession{cfg}, util::Error);
+        EXPECT_THROW(fccc::DecompressSession{cfg}, util::Error);
+        EXPECT_THROW(fccc::FccTraceCompressor{cfg}, util::Error);
+    }
+    fccc::FccConfig cfg;
+    cfg.threads = fccc::FccConfig::maxThreads;
+    EXPECT_NO_THROW(cfg.validate());
+
+    // The other two per-codec checks live in validate() too.
+    fccc::FccConfig noSplit;
+    noSplit.shortLimit = 0;
+    EXPECT_THROW(fccc::CompressSession{noSplit}, util::Error);
+    fccc::FccConfig wide;
+    wide.weights = flow::Weights{100, 20, 5};  // max S above 0xff
+    EXPECT_THROW(fccc::DecompressSession{wide}, util::Error);
 }
 
 TEST(Stream, DecompressMatchesBatchExactly)
@@ -209,10 +368,7 @@ TEST(Stream, CrossContainerMatrixDecodesIdentically)
         fccc::compressTraceFile(tshIn, fcc, cfg);
         std::string tsh = tempPath(name) + ".tsh";
         fccc::decompressTraceFile(fcc, tsh, cfg, kTsh);
-        std::ifstream in(tsh, std::ios::binary);
-        std::vector<uint8_t> bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+        std::vector<uint8_t> bytes = readFile(tsh);
         EXPECT_FALSE(bytes.empty()) << name;
         std::remove(fcc.c_str());
         std::remove(tsh.c_str());
@@ -278,10 +434,7 @@ TEST(Stream, Fcc3ByteIdenticalAcrossThreadCounts)
         cfg.chunkRecords = 64;  // span several chunks
         std::string fcc = tempPath("thr.fcc");
         fccc::compressTraceFile(tshIn, fcc, cfg);
-        std::ifstream in(fcc, std::ios::binary);
-        std::vector<uint8_t> fccBytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
+        std::vector<uint8_t> fccBytes = readFile(fcc);
         auto tshBytes = trace::writeTsh(
             fccc::FccTraceCompressor(cfg).decompress(fccBytes));
         if (threads == 1) {

@@ -147,7 +147,8 @@ main(int argc, char **argv)
               [&](const char *v) {
                   config.codec.threads =
                       static_cast<uint32_t>(cli::parseUnsigned(
-                          "--threads", v, 0, UINT32_MAX));
+                          "--threads", v, 0,
+                          codec::fcc::FccConfig::maxThreads));
               });
     flags.add("--fidelity", "TIER",
               "exact|quantized|header|flow — fidelity tier\n"
