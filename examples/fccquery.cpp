@@ -11,9 +11,9 @@
  *                        `server in 10.0.0.0/8 and time within
  *                        [0, 60] and not port = 443`
  *   --flow/--time/--min-packets
- *                        the legacy AND-only predicates; they lower
- *                        onto the same expression engine and keep
- *                        their exact semantics
+ *                        AND-only shorthands: each adds one leaf
+ *                        (`server =`, `time within`,
+ *                        `flow.packets >=`) to one AND expression
  *
  * Aggregates (--agg) answer from the chunk index and the selected
  * columns without reconstructing packets at all.
@@ -70,7 +70,14 @@ int
 main(int argc, char **argv)
 {
     codec::fcc::FccConfig cfg;
-    query::Predicate pred;
+    // AND of the --flow/--time/--min-packets leaves, in flag order.
+    query::Expr flagExpr = query::Expr::matchAll();
+    auto addLeaf = [&](query::Expr leaf) {
+        flagExpr = flagExpr.isMatchAll()
+                       ? std::move(leaf)
+                       : query::Expr::andOf(std::move(flagExpr),
+                                            std::move(leaf));
+    };
     std::optional<std::string> exprText;
     std::optional<query::AggregateKind> aggKind;
     uint32_t topK = 10;
@@ -86,28 +93,29 @@ main(int argc, char **argv)
     flags.add("--expr", "'E'",
               "composed query expression (docs/QUERY.md),\n"
               "e.g. 'server in 10.0.0.0/8 and time within\n"
-              "[0, 60]'; exclusive with the legacy\n"
-              "predicate flags below",
+              "[0, 60]'; exclusive with the\n"
+              "shorthand flags below",
               [&](const char *v) { exprText = v; });
     flags.add("--flow", "A.B.C.D",
               "flows with this server (destination)\n"
               "address — the 5-tuple component the lossy\n"
               "codec preserves",
               [&](const char *v) {
-                  pred.serverIp = trace::parseIp(v);
+                  addLeaf(query::Expr::serverIs(trace::parseIp(v)));
               });
     flags.add("--time", "T0:T1",
               "packets between T0 and T1 seconds\n"
               "(absolute trace time, floats)",
               [&](const char *v) {
-                  pred.timeUs = parseTimeWindow(v);
+                  auto [t0, t1] = parseTimeWindow(v);
+                  addLeaf(query::Expr::timeWithin(t0, t1));
               });
     flags.add("--min-packets", "N",
               "flows of at least N packets",
               [&](const char *v) {
-                  pred.minFlowPackets = static_cast<uint32_t>(
+                  addLeaf(query::Expr::minFlowPackets(
                       cli::parseUnsigned("--min-packets", v, 1,
-                                         UINT32_MAX));
+                                         UINT32_MAX)));
               });
     flags.add("--agg", "KIND",
               "aggregate query instead of extraction:\n"
@@ -152,7 +160,7 @@ main(int argc, char **argv)
         flags.printHelp(argv[0], stderr);
         return 2;
     }
-    if (exprText.has_value() && !pred.matchAll()) {
+    if (exprText.has_value() && !flagExpr.isMatchAll()) {
         std::fprintf(stderr,
                      "error: --expr is exclusive with "
                      "--flow/--time/--min-packets\n");
@@ -165,7 +173,7 @@ main(int argc, char **argv)
         cfg.validate();
         query::Expr expr = exprText.has_value()
                                ? query::parseExpr(*exprText)
-                               : pred.toExpr();
+                               : flagExpr;
 
         query::FccArchive archive(inPath, cfg);
         if (archive.indexCorrupt())

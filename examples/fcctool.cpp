@@ -138,7 +138,7 @@ infoFcc(const std::string &path, bool showIndex)
         bytes = codec::deflate::zlibDecompress(bytes);
 
     codec::fcc::ContainerStat stat;
-    auto d = codec::fcc::deserialize(bytes, nullptr, &stat);
+    auto d = codec::fcc::deserialize(bytes, 1, &stat);
     std::printf("FCC compressed trace (%zu bytes%s)\n", fileBytes,
                 hybrid ? ", whole-blob deflate" : "");
     if (stat.version == 3)

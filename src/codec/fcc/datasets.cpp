@@ -203,7 +203,10 @@ readRecord(util::ByteReader &r, const Datasets &d, uint64_t &prevUs)
     uint8_t id = r.u8();
     util::require(id <= 1, "fcc: bad dataset identifier");
     rec.isLong = id == 1;
-    prevUs += r.varint();
+    uint64_t deltaUs = r.varint();
+    util::require(deltaUs <= ~uint64_t{0} - prevUs,
+                  "fcc: time-seq timestamp overflows");
+    prevUs += deltaUs;
     rec.firstTimestampUs = prevUs;
     rec.templateIndex = static_cast<uint32_t>(r.varint());
     if (!rec.isLong)
@@ -426,20 +429,16 @@ breakdownBucket(SizeBreakdown &sizes, size_t col)
 }
 
 /**
- * Run @p count column-decode jobs (on @p pool when given), mapping a
- * corrupt-count bad_alloc to Error like every other malformed
- * construct instead of letting it escape.
+ * Run @p count column-decode jobs on up to @p threads workers,
+ * mapping a corrupt-count bad_alloc to Error like every other
+ * malformed construct instead of letting it escape.
  */
 void
-runDecodeJobs(size_t count, util::ThreadPool *pool,
+runDecodeJobs(size_t count, uint32_t threads,
               const std::function<void(size_t)> &decodeOne)
 {
     try {
-        if (pool != nullptr && count > 1)
-            pool->parallelFor(count, decodeOne);
-        else
-            for (size_t i = 0; i < count; ++i)
-                decodeOne(i);
+        util::ThreadPool::fanOut(threads, count, decodeOne);
     } catch (const std::bad_alloc &) {
         throw util::Error("fcc3: column sizes exhaust memory");
     }
@@ -664,8 +663,8 @@ capTotalValues(uint64_t &total, const ColumnFrame &frame)
  * four bytes are the already-validated magic.
  */
 Datasets
-deserializeColumnar(std::span<const uint8_t> data,
-                    util::ThreadPool *pool, ContainerStat *stat)
+deserializeColumnar(std::span<const uint8_t> data, uint32_t threads,
+                    ContainerStat *stat)
 {
     flow::Weights weights;
     uint8_t colByte;
@@ -742,7 +741,7 @@ deserializeColumnar(std::span<const uint8_t> data,
             recordStat(c, frames[c], true);
         }
         util::require(r.exhausted(), "fcc: trailing bytes");
-        runDecodeJobs(columnCount, pool, [&](size_t c) {
+        runDecodeJobs(columnCount, threads, [&](size_t c) {
             values[c] = decodeColumnFrame(frames[c]);
         });
     } else {
@@ -758,7 +757,7 @@ deserializeColumnar(std::span<const uint8_t> data,
         ColumnFrame chunkLenFrame = readColumnFrame(r);
         capTotalValues(totalValues, chunkLenFrame);
         recordStat(ColChunkLen, chunkLenFrame, true);
-        runDecodeJobs(1, nullptr, [&](size_t) {
+        runDecodeJobs(1, 1, [&](size_t) {
             values[ColChunkLen] = decodeColumnFrame(chunkLenFrame);
         });
 
@@ -793,7 +792,8 @@ deserializeColumnar(std::span<const uint8_t> data,
 
         std::vector<std::array<std::vector<uint64_t>, 5>>
             chunkValues(chunks);
-        runDecodeJobs(ColAddr + 1 + chunks * 5, pool, [&](size_t i) {
+        size_t jobs = ColAddr + 1 + chunks * 5;
+        runDecodeJobs(jobs, threads, [&](size_t i) {
             if (i <= ColAddr) {
                 values[i] = decodeColumnFrame(sharedFrames[i]);
             } else {
@@ -925,7 +925,7 @@ writeFrame(util::ByteWriter &w, const EncodedColumn &col)
 std::vector<uint8_t>
 serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
                   backend::EntropyBackend backend,
-                  SizeBreakdown &breakdown, util::ThreadPool *pool,
+                  SizeBreakdown &breakdown, uint32_t threads,
                   std::vector<ColumnStat> *columns,
                   const IndexOptions *index)
 {
@@ -933,17 +933,6 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
     breakdown = SizeBreakdown{};
     if (columns != nullptr)
         columns->clear();
-
-    auto runEncodeJobs = [&](size_t count,
-                             const std::function<void(size_t)> &job) {
-        // Results land in fixed slots, so the output is
-        // byte-identical at any thread count.
-        if (pool != nullptr && count > 1)
-            pool->parallelFor(count, job);
-        else
-            for (size_t c = 0; c < count; ++c)
-                job(c);
-    };
 
     auto writeHeader = [&](util::ByteWriter &w, uint8_t colByte) {
         w.u32(magicV3);
@@ -966,8 +955,9 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
 
     if (index == nullptr) {
         // ---- plain layout: twelve global column frames ----
+        // Jobs write fixed slots: byte-identical at any thread count.
         std::array<EncodedColumn, columnCount> encoded;
-        runEncodeJobs(columnCount, [&](size_t c) {
+        util::ThreadPool::fanOut(threads, columnCount, [&](size_t c) {
             encoded[c] = encodeOneColumn(values[c], backend);
         });
 
@@ -1024,7 +1014,8 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
         return std::span<const uint64_t>(col).subspan(
             recOff[c], recOff[c + 1] - recOff[c]);
     };
-    runEncodeJobs(ColAddr + 2 + chunks * 5, [&](size_t i) {
+    size_t jobs = ColAddr + 2 + chunks * 5;
+    util::ThreadPool::fanOut(threads, jobs, [&](size_t i) {
         if (i <= ColAddr)
             sharedEnc[i] = encodeOneColumn(values[i], backend);
         else if (i == ColAddr + 1)
@@ -1081,7 +1072,7 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
 }
 
 Datasets
-deserialize(std::span<const uint8_t> data, util::ThreadPool *pool,
+deserialize(std::span<const uint8_t> data, uint32_t threads,
             ContainerStat *stat)
 {
     util::ByteReader r(data);
@@ -1091,7 +1082,7 @@ deserialize(std::span<const uint8_t> data, util::ThreadPool *pool,
                       magic == magicV3,
                   "fcc: bad magic");
     if (magic == magicV3)
-        return deserializeColumnar(data, pool, stat);
+        return deserializeColumnar(data, threads, stat);
 
     SizeBreakdown *sizes = stat != nullptr ? &stat->sizes : nullptr;
     if (stat != nullptr) {
@@ -1144,7 +1135,7 @@ deserialize(std::span<const uint8_t> data, util::ThreadPool *pool,
 Datasets
 deserialize(std::span<const uint8_t> data)
 {
-    return deserialize(data, nullptr, nullptr);
+    return deserialize(data, 1, nullptr);
 }
 
 ColumnFrame

@@ -44,7 +44,6 @@
 
 namespace fcc::util {
 class ByteReader;
-class ThreadPool;
 }
 
 namespace fcc::codec::fcc {
@@ -210,8 +209,9 @@ std::vector<uint8_t> serializeChunked(const Datasets &datasets,
  * layout), each encoded by the cost-cheapest field codec and then
  * squeezed by @p backend — per column, with an automatic fallback
  * to Store whenever the backend would expand the column. Column
- * encode jobs run on @p pool when given (results are byte-identical
- * with or without it). @p breakdown receives the on-wire
+ * encode jobs run on up to @p threads workers (0 = all cores;
+ * results are byte-identical at any count). @p breakdown receives
+ * the on-wire
  * (post-backend) bytes per dataset; @p columns, when non-null, the
  * per-column accounting. The chunk layout is taken from
  * datasets.chunkSizes when present, else derived from
@@ -228,22 +228,23 @@ std::vector<uint8_t>
 serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
                   backend::EntropyBackend backend,
                   SizeBreakdown &breakdown,
-                  util::ThreadPool *pool = nullptr,
+                  uint32_t threads = 1,
                   std::vector<ColumnStat> *columns = nullptr,
                   const IndexOptions *index = nullptr);
 
 /**
  * Parse the FCC1, FCC2 or FCC3 wire format (auto-detected by magic);
  * FCC2/FCC3 fill Datasets::chunkSizes. FCC3 column decode jobs run
- * on @p pool when given; @p stat, when non-null, receives the
- * container version and on-wire size accounting.
+ * on up to @p threads workers (0 = all cores); @p stat, when
+ * non-null, receives the container version and on-wire size
+ * accounting.
  * @throws fcc::util::Error on malformed input.
  */
 Datasets deserialize(std::span<const uint8_t> data,
-                     util::ThreadPool *pool,
+                     uint32_t threads,
                      ContainerStat *stat = nullptr);
 
-/** deserialize() without a thread pool. */
+/** deserialize() on the calling thread. */
 Datasets deserialize(std::span<const uint8_t> data);
 
 // ---- FCC3 column frames ---------------------------------------------

@@ -8,35 +8,27 @@
  *
  * Compression is a single-epoch CompressSession (session.cpp): one
  * flow assembler, one cluster store, one canonical seal order.
- * Threads only parallelize the FCC3 column encode/decode and the
- * per-chunk expansion; output is byte-identical at any thread count.
+ * Decompression expands through the one reconstruction loop of
+ * reconstruct.cpp. Threads only parallelize the FCC3 column
+ * encode/decode and the per-chunk expansion; output is
+ * byte-identical at any thread count.
  */
 
 #include "codec/fcc/fcc_codec.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <string>
 
 #include "codec/deflate/deflate.hpp"
 #include "codec/fcc/index.hpp"
+#include "codec/fcc/reconstruct.hpp"
 #include "codec/fcc/session.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcc::codec::fcc {
 
 namespace {
-
-/** cfg.threads semantics: 0 = whatever the hardware offers. */
-unsigned
-resolveThreads(uint32_t requested)
-{
-    return requested != 0 ? requested
-                          : util::ThreadPool::hardwareThreads();
-}
 
 /** Draw a random class B or C address (paper §4's source rule). */
 uint32_t
@@ -151,10 +143,6 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                                  breakdown);
         break;
       case ContainerFormat::Fcc3: {
-        unsigned threads = resolveThreads(cfg.threads);
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
         IndexOptions indexOptions;
         indexOptions.gapUs = cfg.defaultGapUs;
         // Degrade to the configured tier just before serialization,
@@ -170,12 +158,12 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                 applyFidelity(datasets, cfg.fidelity, params);
             return serializeColumnar(
                 degraded, cfg.chunkRecords, cfg.backend, breakdown,
-                pool.get(), columns,
+                cfg.threads, columns,
                 cfg.index ? &indexOptions : nullptr);
         }
         // The per-column backends supersede the whole-blob squeeze.
         return serializeColumnar(datasets, cfg.chunkRecords,
-                                 cfg.backend, breakdown, pool.get(),
+                                 cfg.backend, breakdown, cfg.threads,
                                  columns,
                                  cfg.index ? &indexOptions : nullptr);
       }
@@ -198,14 +186,9 @@ deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
         inflated = deflate::zlibDecompress(data);
         data = inflated;
     }
-    // Only the columnar container has parallel decode jobs; the
-    // pool is scoped here so it is gone before any expansion pool
-    // spins up.
-    std::unique_ptr<util::ThreadPool> pool;
-    unsigned workers = resolveThreads(threads);
-    if (workers > 1 && data.size() >= 4 && data[3] == '3')
-        pool = std::make_unique<util::ThreadPool>(workers);
-    return deserialize(data, pool.get(), stat);
+    // Only the columnar container has parallel decode jobs; its
+    // pool lives for the decode alone.
+    return deserialize(data, threads, stat);
 }
 
 FccTraceCompressor::FccTraceCompressor(const FccConfig &cfg)
@@ -245,45 +228,27 @@ FccTraceCompressor::compress(const trace::Trace &trace) const
 trace::Trace
 FccTraceCompressor::expand(const Datasets &d) const
 {
+    trace::Trace out;
+    trace::CollectTraceSink sink(out);
+    expandTo(d, sink);
+    return out;
+}
+
+uint64_t
+FccTraceCompressor::expandTo(const Datasets &d,
+                             trace::TraceSink &sink) const
+{
     util::require(d.fidelity != Fidelity::Flow,
                   "fcc: flow-fidelity archives carry no per-packet "
                   "data to reconstruct");
-    std::vector<trace::PacketRecord> packets;
-    if (d.chunkSizes.empty()) {
-        // Legacy FCC1: one sequential RNG stream over all records.
-        util::Rng rng(cfg_.decompressSeed);
-        for (const auto &rec : d.timeSeq)
-            expandFlow(d, rec, rng, packets);
-    } else {
-        size_t chunks = d.chunkSizes.size();
-        std::vector<std::vector<trace::PacketRecord>> perChunk(
-            chunks);
-        auto expandOne = [&](size_t c) {
-            expandChunk(d, c, perChunk[c]);
-        };
-        unsigned threads = resolveThreads(cfg_.threads);
-        if (threads > 1 && chunks > 1) {
-            util::ThreadPool pool(threads);
-            pool.parallelFor(chunks, expandOne);
-        } else {
-            for (size_t c = 0; c < chunks; ++c)
-                expandOne(c);
-        }
-
-        size_t total = 0;
-        for (const auto &chunk : perChunk)
-            total += chunk.size();
-        packets.reserve(total);
-        for (auto &chunk : perChunk)
-            packets.insert(packets.end(), chunk.begin(), chunk.end());
-    }
-    // Canonical total order (not a bare time sort): every expansion
-    // path — in-memory, streaming flush, query merge — must emit
-    // equal-timestamp packets identically for reconstruction to be
-    // byte-exact across containers and thread counts.
-    std::sort(packets.begin(), packets.end(),
-              trace::packetCanonicalLess);
-    return trace::Trace(std::move(packets));
+    return reconstructDatasets(
+        d, cfg_.decompressSeed, cfg_.threads,
+        [&](std::span<const TimeSeqRecord> records, util::Rng &rng,
+            std::vector<trace::PacketRecord> &out) {
+            for (const TimeSeqRecord &rec : records)
+                expandFlow(d, rec, rng, out);
+        },
+        sink);
 }
 
 void
@@ -327,7 +292,14 @@ FccTraceCompressor::expandFlow(const Datasets &d,
         uint16_t window = static_cast<uint16_t>(
             rng.uniformInt(16, 255) << 8);
 
+        // Packet timestamps are t * 1000 ns: reject stored timing
+        // that would wrap them (unbounded varints on outside input)
+        // instead of emitting packets out of time order.
+        constexpr uint64_t maxUs = ~uint64_t{0} / 1000;
+        const char *overflow =
+            "fcc: reconstructed timestamp overflows";
         uint64_t t = rec.firstTimestampUs;
+        util::require(t <= maxUs, overflow);
         bool fromClient = true;
         for (size_t i = 0; i < sValues->size(); ++i) {
             flow::PacketClass cls = chi.decode((*sValues)[i]);
@@ -345,10 +317,11 @@ FccTraceCompressor::expandFlow(const Datasets &d,
             // short flows space dependent packets by the flow RTT
             // and others by a small fixed gap (§4).
             if (i > 0) {
-                if (rec.isLong)
-                    t += (*iptUs)[i];
-                else
-                    t += cls.dependent ? rec.rttUs : cfg_.defaultGapUs;
+                uint64_t stepUs = rec.isLong ? (*iptUs)[i]
+                                  : cls.dependent ? rec.rttUs
+                                                  : cfg_.defaultGapUs;
+                util::require(stepUs <= maxUs - t, overflow);
+                t += stepUs;
             }
 
             uint16_t payload = 0;
@@ -411,31 +384,6 @@ FccTraceCompressor::expandFlow(const Datasets &d,
             out.push_back(pkt);
         }
     }
-}
-
-void
-FccTraceCompressor::expandChunk(
-    const Datasets &d, size_t chunk,
-    std::vector<trace::PacketRecord> &out) const
-{
-    util::require(d.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
-    util::require(chunk < d.chunkSizes.size(),
-                  "fcc: chunk index out of range");
-    size_t begin = 0;
-    for (size_t c = 0; c < chunk; ++c)
-        begin += d.chunkSizes[c];
-    size_t end = begin + d.chunkSizes[chunk];
-    util::require(end <= d.timeSeq.size(),
-                  "fcc: chunk sizes disagree with time-seq");
-
-    // One RNG stream per chunk, seeded from (decompressSeed, chunk
-    // index): chunks expand in any order — or in parallel — and
-    // still produce the same packets.
-    util::Rng rng(chunkRngSeed(cfg_.decompressSeed, chunk));
-    for (size_t i = begin; i < end; ++i)
-        expandFlow(d, d.timeSeq[i], rng, out);
 }
 
 trace::Trace

@@ -34,6 +34,7 @@
 #include "codec/fcc/datasets.hpp"
 #include "flow/characterize.hpp"
 #include "flow/flow_table.hpp"
+#include "trace/source.hpp"
 #include "util/rng.hpp"
 
 namespace fcc::codec::fcc {
@@ -68,10 +69,12 @@ struct FccConfig
      * Worker threads; 0 means hardware_concurrency, 1 runs
      * everything on the calling thread. Flow assembly and clustering
      * are sequential; threads only parallelize the FCC3 column
-     * encode/decode and the per-chunk expansion on decompression.
-     * Output is byte-identical for every value: the chunk size
-     * (chunkRecords) fixes the work decomposition, threads only
-     * decide how much of it runs concurrently. At most maxThreads.
+     * encode/decode and the per-chunk expansion of the reconstructor
+     * (reconstruct.hpp), and a pool never gets more workers than it
+     * has jobs (util::ThreadPool::workersFor). Output is
+     * byte-identical for every value: the chunk size (chunkRecords)
+     * fixes the work decomposition, threads only decide how much of
+     * it runs concurrently. At most maxThreads.
      */
     uint32_t threads = 0;
 
@@ -218,38 +221,42 @@ class FccTraceCompressor : public TraceCompressor
                       FccCompressStats &stats) const;
 
     /**
-     * Expand in-memory datasets into a reconstructed trace. Chunked
-     * datasets (FCC2/FCC3) expand one chunk per task on cfg.threads
-     * workers, each chunk drawing from its own RNG stream seeded
-     * from (decompressSeed, chunk index); unchunked datasets (FCC1,
-     * or FCC3 with chunkRecords == 0) replay the legacy single
-     * sequential stream. Expansion depends only on the chunk
-     * layout, never on the container that carried it — equal
-     * layouts reconstruct identical packets.
+     * Expand in-memory datasets into a reconstructed trace:
+     * expandTo() into a collecting sink.
      */
     trace::Trace expand(const Datasets &datasets) const;
 
     /**
+     * Reconstruct @p datasets into @p sink (closed on return) in
+     * canonical packet order through the one reconstruction loop
+     * (reconstructDatasets, reconstruct.hpp) and return the packets
+     * written. Chunked datasets (FCC2/FCC3) expand one chunk per
+     * job on cfg.threads workers, each chunk drawing from its own
+     * RNG stream seeded from (decompressSeed, chunk index);
+     * unchunked datasets (FCC1, or FCC3 with chunkRecords == 0)
+     * replay one sequential stream. Expansion depends only on the
+     * chunk layout, never on the container that carried it — equal
+     * layouts reconstruct identical packets.
+     *
+     * @throws fcc::util::Error on flow-fidelity datasets or stored
+     *         timing that overflows the nanosecond timestamp.
+     */
+    uint64_t expandTo(const Datasets &datasets,
+                      trace::TraceSink &sink) const;
+
+    /**
      * Expand one time-seq record into its flow's packets, appended
      * to @p out in flow order (not globally time-sorted). @p rng
-     * supplies the §4 random source address / client port; expand()
-     * and the streaming decompressor share this so both produce the
-     * same packets for the same seed.
+     * supplies the §4 random source address / client port; every
+     * reconstruction front end expands records through this.
+     *
+     * @throws fcc::util::Error when an index is out of range or the
+     *         flow's timing overflows the nanosecond timestamp.
      */
     void
     expandFlow(const Datasets &datasets, const TimeSeqRecord &record,
                util::Rng &rng,
                std::vector<trace::PacketRecord> &out) const;
-
-    /**
-     * Expand every record of chunk @p chunk (index into
-     * Datasets::chunkSizes) into @p out, drawing from the chunk's
-     * own RNG stream. Chunks may be expanded in any order or
-     * concurrently; expand() and the streaming decompressor share
-     * this so both reconstruct identical packets.
-     */
-    void expandChunk(const Datasets &datasets, size_t chunk,
-                     std::vector<trace::PacketRecord> &out) const;
 
     const FccConfig &config() const { return cfg_; }
 

@@ -35,7 +35,8 @@
  * DecompressSession is the matching read side: one session holds the
  * config and cumulative stats while open()/drainTo() iterate over
  * any number of archives (an fccd output directory, say), each
- * reconstructed with the §4 bounded-memory flush of stream.cpp.
+ * reconstructed with the §4 bounded-memory flush of the codec's one
+ * reconstruction loop (reconstruct.hpp).
  */
 
 #ifndef FCC_CODEC_FCC_SESSION_HPP
@@ -226,9 +227,10 @@ class CompressSession
 /**
  * The matching decompression session: holds config and cumulative
  * stats while open()/drainTo() walk any number of archives. Each
- * archive reconstructs with the §4 bounded-memory flush — chunked
- * layouts expand their chunks concurrently (cfg.threads) between
- * flushes, bit-identically at any thread count.
+ * archive reconstructs with the §4 bounded-memory flush of
+ * reconstruct.hpp — chunked layouts expand their chunks
+ * concurrently (cfg.threads) between flushes, bit-identically at
+ * any thread count.
  */
 class DecompressSession
 {

@@ -13,17 +13,17 @@
  * worth of state at a time — memory is bounded by open flows plus
  * the template/time-seq datasets, not by the packet count).
  *
- * Decompression of an unchunked file (FCC1, or FCC3 written with
- * chunkRecords == 0) implements the paper's §4 algorithm literally:
- * a time-ordered buffer ("linked list" in the paper) of
- * reconstructed packets is flushed to the output file whenever
- * packets are older than the next time-seq record's timestamp, so
+ * Decompression implements the paper's §4 algorithm through the
+ * codec's one reconstruction loop (reconstruct.hpp): a time-ordered
+ * buffer ("linked list" in the paper) of reconstructed packets is
+ * flushed to the output file as the time-seq records are scanned,
+ * whenever packets are older than every record still to expand, so
  * output is produced as the compressed stream is scanned rather
- * than after a global sort. A chunked file (FCC2/FCC3) instead
- * expands its chunks concurrently (FccConfig::threads workers, one
- * RNG stream per chunk) between bounded-memory flushes and writes
- * the merged result. FCC3 additionally decodes its columns on the
- * pool before expansion begins.
+ * than after a global sort. Chunks (FCC2/FCC3) expand concurrently
+ * in batches (FccConfig::threads workers, one RNG stream per chunk);
+ * unchunked files (FCC1, FCC3 written with chunkRecords == 0)
+ * expand in record slices on one stream. FCC3 additionally decodes
+ * its columns on the pool before expansion begins.
  */
 
 #ifndef FCC_CODEC_FCC_STREAM_HPP
@@ -96,8 +96,9 @@ compressTraceFile(const std::string &inPath,
 
 /**
  * Decompress an FCC file into @p sink using the §4 incremental
- * flush (peak buffered packets stays near the number of concurrently
- * active flows). The sink is closed before returning.
+ * flush (peak buffered packets stays near one batch of chunks plus
+ * the concurrently active flows). The sink is closed before
+ * returning.
  *
  * @throws fcc::util::Error on I/O failure or malformed input.
  */

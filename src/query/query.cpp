@@ -2,23 +2,24 @@
  * @file
  * Random-access execution over seekable FCC archives: open an
  * mmap'd file, plan chunks against the index block's summaries,
- * decode only the surviving chunks on the thread pool, and filter
- * to exactly the packets a full decompression would have produced
- * for the same expression.
+ * decode and filter only the surviving chunks through the codec's
+ * one reconstruction loop (codec/fcc/reconstruct.hpp), producing
+ * exactly the packets a full decompression would have produced for
+ * the same expression, in the same order.
  */
 
 #include "query/query.hpp"
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
-#include "trace/trace.hpp"
+#include "codec/fcc/reconstruct.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcc::query {
 
@@ -28,28 +29,22 @@ namespace {
 
 constexpr uint32_t magicFcc3 = 0x33434346u;  // "FCC3"
 
-/** Matching packets + flow count of one expanded record range. */
-struct ChunkResult
-{
-    std::vector<trace::PacketRecord> packets;
-    uint64_t flows = 0;
-};
-
 /**
- * Expand @p records (one chunk, or the whole legacy stream) from
- * @p rngSeed, keeping only what @p expr admits. Every record is
- * expanded even when filtered out — the RNG stream must advance
- * exactly as a full decompression would, or the surviving flows
- * would reconstruct different bytes.
+ * Expand @p records (one chunk, or one slice of an unchunked
+ * stream) from @p rng, appending what @p expr admits to @p out, and
+ * return the number of flows that contributed a packet. Every
+ * record is expanded even when filtered out — the RNG stream must
+ * advance exactly as a full decompression would, or the surviving
+ * flows would reconstruct different bytes.
  */
-void
+uint64_t
 expandFiltered(const fccc::FccTraceCompressor &codec,
                const fccc::Datasets &shared,
                std::span<const fccc::TimeSeqRecord> records,
-               uint64_t rngSeed, const Expr &expr,
-               uint16_t serverPort, ChunkResult &out)
+               util::Rng &rng, const Expr &expr, uint16_t serverPort,
+               std::vector<trace::PacketRecord> &out)
 {
-    util::Rng rng(rngSeed);
+    uint64_t flows = 0;
     std::vector<trace::PacketRecord> flowBuf;
     for (const fccc::TimeSeqRecord &rec : records) {
         flowBuf.clear();
@@ -64,57 +59,13 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
             if (verdict == Expr::FlowMatch::PerPacket &&
                 !expr.matches(flow, pkt.timestampUs()))
                 continue;
-            out.packets.push_back(pkt);
+            out.push_back(pkt);
             ++emitted;
         }
         if (emitted > 0)
-            ++out.flows;
+            ++flows;
     }
-}
-
-/**
- * Run @p count chunk jobs, on a pool when @p threadsCfg allows
- * (FccConfig::threads semantics: 0 = all cores). Jobs write to
- * fixed slots, so results never depend on the thread count.
- */
-void
-runChunkJobs(uint32_t threadsCfg, size_t count,
-             const std::function<void(size_t)> &job)
-{
-    unsigned workers = threadsCfg != 0
-        ? threadsCfg
-        : util::ThreadPool::hardwareThreads();
-    if (workers > 1 && count > 1) {
-        util::ThreadPool pool(workers);
-        pool.parallelFor(count, job);
-    } else {
-        for (size_t i = 0; i < count; ++i)
-            job(i);
-    }
-}
-
-/** Merge per-chunk results, sort by time, and emit through @p sink. */
-void
-emitResults(std::vector<ChunkResult> &results,
-            trace::TraceSink &sink, QueryStats &stats)
-{
-    size_t total = 0;
-    for (const ChunkResult &r : results)
-        total += r.packets.size();
-    std::vector<trace::PacketRecord> merged;
-    merged.reserve(total);
-    for (ChunkResult &r : results) {
-        stats.flowsMatched += r.flows;
-        merged.insert(merged.end(), r.packets.begin(),
-                      r.packets.end());
-    }
-    // Canonical total order, matching the streaming decompressor's
-    // flush: ties must not depend on chunk order or thread count.
-    std::sort(merged.begin(), merged.end(),
-              trace::packetCanonicalLess);
-    trace::Trace out(std::move(merged));
-    stats.packetsMatched = out.size();
-    trace::writeAllPackets(sink, out);
+    return flows;
 }
 
 /**
@@ -180,25 +131,6 @@ buildChunkRecords(const fccc::Datasets &shared,
 
 } // namespace
 
-Expr
-Predicate::toExpr() const
-{
-    Expr e = Expr::matchAll();
-    bool any = false;
-    auto add = [&](Expr leaf) {
-        e = any ? Expr::andOf(std::move(e), std::move(leaf))
-                : std::move(leaf);
-        any = true;
-    };
-    if (serverIp)
-        add(Expr::serverIs(*serverIp));
-    if (timeUs)
-        add(Expr::timeWithin(timeUs->first, timeUs->second));
-    if (minFlowPackets >= 1)
-        add(Expr::minFlowPackets(minFlowPackets));
-    return e;
-}
-
 FccArchive::FccArchive(const std::string &path,
                        const codec::fcc::FccConfig &cfg)
     : path_(path), cfg_(cfg), src_(util::openByteSource(path))
@@ -244,12 +176,6 @@ FccArchive::plan(const Expr &expr) const
     return out;
 }
 
-std::vector<size_t>
-FccArchive::plan(const Predicate &pred) const
-{
-    return plan(pred.toExpr());
-}
-
 QueryStats
 FccArchive::run(const Expr &expr, trace::TraceSink &sink,
                 bool forceFullDecode) const
@@ -271,13 +197,6 @@ FccArchive::run(const Expr &expr, trace::TraceSink &sink,
         }
     }
     return runFullDecode(expr, sink);
-}
-
-QueryStats
-FccArchive::run(const Predicate &pred, trace::TraceSink &sink,
-                bool forceFullDecode) const
-{
-    return run(pred.toExpr(), sink, forceFullDecode);
 }
 
 FccArchive::SharedRegion
@@ -382,8 +301,9 @@ FccArchive::runIndexed(const Expr &expr,
         stats.bytesRead += checkedChunk(region, c).byteLength;
 
     fccc::FccTraceCompressor codec(cfg_);
-    std::vector<ChunkResult> results(planned.size());
-    auto decodeOne = [&](size_t i) {
+    std::atomic<uint64_t> flows{0};
+    auto expandChunk = [&](size_t i,
+                           std::vector<trace::PacketRecord> &out) {
         size_t c = planned[i];
         const fccc::ChunkSummary &s = index_->chunks[c];
         util::ByteReader cr(bytes_.data() + s.byteOffset,
@@ -397,13 +317,15 @@ FccArchive::runIndexed(const Expr &expr,
         std::vector<fccc::TimeSeqRecord> records =
             buildChunkRecords(region.shared, cols,
                               region.chunkLen[c]);
-        expandFiltered(codec, region.shared, records,
-                       fccc::chunkRngSeed(cfg_.decompressSeed, c),
-                       expr, cfg_.serverPort, results[i]);
+        util::Rng rng(fccc::chunkRngSeed(cfg_.decompressSeed, c));
+        flows += expandFiltered(codec, region.shared, records, rng,
+                                expr, cfg_.serverPort, out);
+        return records.empty() ? uint64_t{0}
+                               : records.front().firstTimestampUs;
     };
-    runChunkJobs(cfg_.threads, planned.size(), decodeOne);
-
-    emitResults(results, sink, stats);
+    stats.packetsMatched = fccc::reconstruct(
+        planned.size(), expandChunk, cfg_.threads, sink);
+    stats.flowsMatched = flows;
     return stats;
 }
 
@@ -420,38 +342,21 @@ FccArchive::runFullDecode(const Expr &expr,
     util::require(d.fidelity != fccc::Fidelity::Flow,
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
+    // The unchunked layouts count as one chunk.
+    stats.chunksTotal = std::max<uint64_t>(1, d.chunkSizes.size());
+    stats.chunksDecoded = stats.chunksTotal;
+
     fccc::FccTraceCompressor codec(cfg_);
-
-    if (d.chunkSizes.empty()) {
-        // Legacy layout: one sequential RNG stream over everything.
-        stats.chunksTotal = 1;
-        stats.chunksDecoded = 1;
-        std::vector<ChunkResult> results(1);
-        expandFiltered(codec, d, d.timeSeq, cfg_.decompressSeed,
-                       expr, cfg_.serverPort, results[0]);
-        emitResults(results, sink, stats);
-        return stats;
-    }
-
-    size_t chunks = d.chunkSizes.size();
-    stats.chunksTotal = chunks;
-    stats.chunksDecoded = chunks;
-    std::vector<size_t> offset(chunks + 1, 0);
-    for (size_t c = 0; c < chunks; ++c)
-        offset[c + 1] = offset[c] + d.chunkSizes[c];
-    util::require(offset[chunks] == d.timeSeq.size(),
-                  "fcc: chunk sizes disagree with time-seq");
-
-    std::vector<ChunkResult> results(chunks);
-    auto expandOne = [&](size_t c) {
-        std::span<const fccc::TimeSeqRecord> records(
-            d.timeSeq.data() + offset[c], d.chunkSizes[c]);
-        expandFiltered(codec, d, records,
-                       fccc::chunkRngSeed(cfg_.decompressSeed, c),
-                       expr, cfg_.serverPort, results[c]);
-    };
-    runChunkJobs(cfg_.threads, chunks, expandOne);
-    emitResults(results, sink, stats);
+    std::atomic<uint64_t> flows{0};
+    stats.packetsMatched = fccc::reconstructDatasets(
+        d, cfg_.decompressSeed, cfg_.threads,
+        [&](std::span<const fccc::TimeSeqRecord> records,
+            util::Rng &rng, std::vector<trace::PacketRecord> &out) {
+            flows += expandFiltered(codec, d, records, rng, expr,
+                                    cfg_.serverPort, out);
+        },
+        sink);
+    stats.flowsMatched = flows;
     return stats;
 }
 

@@ -7,24 +7,11 @@
 #include "trace/packet.hpp"
 
 #include <cstdio>
-#include <tuple>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace fcc::trace {
-
-bool
-packetCanonicalLess(const PacketRecord &a, const PacketRecord &b)
-{
-    auto key = [](const PacketRecord &p) {
-        return std::tuple(p.timestampNs, p.srcIp, p.dstIp, p.srcPort,
-                          p.dstPort, p.protocol, p.tcpFlags,
-                          p.payloadBytes, p.seq, p.ack, p.window,
-                          p.ipId);
-    };
-    return key(a) < key(b);
-}
 
 std::string
 formatIp(uint32_t addr)

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 namespace fcc::trace {
 
@@ -82,15 +83,26 @@ struct PacketRecord
 
 /**
  * Field-wise total order on packets, extending timestamp order with
- * every header field as tie-breaker. Reconstruction paths that merge
- * concurrently produced packets (codec/fcc streaming flush, the
- * query subsystem's chunk merge) sort with this instead of a bare
- * timestamp comparison: equal-timestamp packets would otherwise be
- * emitted in an order that depends on batch boundaries — i.e. on the
- * thread count — breaking byte-exact reproducibility.
+ * every header field as tie-breaker. The codec's reconstructor
+ * (codec/fcc/reconstruct.hpp) sorts each expanded unit with it and
+ * merges units with mergeCanonicalRuns() (trace/trace.hpp), so
+ * equal-timestamp packets come out in one order whatever the batch
+ * boundaries — i.e. the thread count — and every front end emits
+ * the same bytes. Inline: it is the comparator of the hot per-unit
+ * sort and merge.
  */
-bool packetCanonicalLess(const PacketRecord &a,
-                         const PacketRecord &b);
+inline bool
+packetCanonicalLess(const PacketRecord &a, const PacketRecord &b)
+{
+    if (a.timestampNs != b.timestampNs)
+        return a.timestampNs < b.timestampNs;
+    auto key = [](const PacketRecord &p) {
+        return std::tuple(p.srcIp, p.dstIp, p.srcPort, p.dstPort,
+                          p.protocol, p.tcpFlags, p.payloadBytes,
+                          p.seq, p.ack, p.window, p.ipId);
+    };
+    return key(a) < key(b);
+}
 
 /** Render an IPv4 address in dotted-quad notation. */
 std::string formatIp(uint32_t addr);

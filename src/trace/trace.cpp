@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace container: stable time sort, order checking, duration and
- * time-window slicing over the packet vector.
+ * time-window slicing over the packet vector, and the canonical
+ * k-way merge of sorted packet runs.
  */
 
 #include "trace/trace.hpp"
@@ -74,6 +75,50 @@ Trace::sliceSeconds(double start, double length) const
             out.add(pkt);
     }
     return out;
+}
+
+void
+mergeCanonicalRuns(std::span<const std::span<const PacketRecord>> runs,
+                   std::vector<PacketRecord> &out)
+{
+    struct Cursor
+    {
+        const PacketRecord *at;
+        const PacketRecord *end;
+        size_t run;
+    };
+    std::vector<Cursor> heap;
+    size_t total = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+        total += runs[r].size();
+        if (!runs[r].empty())
+            heap.push_back({runs[r].data(),
+                            runs[r].data() + runs[r].size(), r});
+    }
+    out.reserve(out.size() + total);
+    if (heap.size() == 1) {
+        out.insert(out.end(), heap[0].at, heap[0].end);
+        return;
+    }
+    // Heap ordered so its top is the next packet out; the run index
+    // breaks ties between equal packets.
+    auto after = [](const Cursor &a, const Cursor &b) {
+        if (packetCanonicalLess(*b.at, *a.at))
+            return true;
+        if (packetCanonicalLess(*a.at, *b.at))
+            return false;
+        return a.run > b.run;
+    };
+    std::make_heap(heap.begin(), heap.end(), after);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), after);
+        Cursor &next = heap.back();
+        out.push_back(*next.at);
+        if (++next.at == next.end)
+            heap.pop_back();
+        else
+            std::push_heap(heap.begin(), heap.end(), after);
+    }
 }
 
 } // namespace fcc::trace

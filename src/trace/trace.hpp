@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/packet.hpp"
@@ -63,6 +64,17 @@ class Trace
   private:
     std::vector<PacketRecord> packets_;
 };
+
+/**
+ * K-way merge of @p runs, each sorted by packetCanonicalLess, appended
+ * to @p out in that order. Equal packets keep run order, though the
+ * order compares every field, so equal packets are bit-identical
+ * anyway. The one packet merge of the library: the reconstructor
+ * (codec/fcc/reconstruct.hpp) flushes through it and the archive
+ * catalog (query/catalog.hpp) joins per-archive results with it.
+ */
+void mergeCanonicalRuns(std::span<const std::span<const PacketRecord>> runs,
+                        std::vector<PacketRecord> &out);
 
 } // namespace fcc::trace
 

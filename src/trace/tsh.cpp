@@ -2,16 +2,15 @@
  * @file
  * TSH record (de)serialization: 44-byte big-endian records built
  * and parsed field by field, plus file-level read/write wrappers
- * that validate record alignment.
+ * over the shared byte layer (util/io) that validate record
+ * alignment.
  */
 
 #include "trace/tsh.hpp"
 
-#include <cstdio>
-#include <memory>
-
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
 
 namespace fcc::trace {
 
@@ -126,38 +125,20 @@ readTsh(std::span<const uint8_t> data)
     return trace;
 }
 
-namespace {
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { if (f) std::fclose(f); }
-};
-
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-} // namespace
-
 void
 writeTshFile(const Trace &trace, const std::string &path)
 {
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    util::require(f != nullptr, "writeTshFile: cannot open output file");
-    auto bytes = writeTsh(trace);
-    size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f.get());
-    util::require(n == bytes.size(), "writeTshFile: short write");
+    util::FileByteSink out(path);
+    out.write(writeTsh(trace));
+    out.close();
 }
 
 Trace
 readTshFile(const std::string &path)
 {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    util::require(f != nullptr, "readTshFile: cannot open input file");
-    std::vector<uint8_t> bytes;
-    uint8_t buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    return readTsh(bytes);
+    auto in = util::openByteSource(path);
+    std::vector<uint8_t> owned;
+    return readTsh(util::readAllBytes(*in, owned));
 }
 
 } // namespace fcc::trace

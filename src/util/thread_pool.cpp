@@ -11,6 +11,8 @@
 
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace fcc::util {
@@ -20,6 +22,36 @@ ThreadPool::hardwareThreads()
 {
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
+}
+
+unsigned
+ThreadPool::workersFor(uint32_t threads, size_t jobs)
+{
+    size_t resolved = threads != 0 ? threads : hardwareThreads();
+    return static_cast<unsigned>(
+        std::max<size_t>(1, std::min(resolved, jobs)));
+}
+
+std::unique_ptr<ThreadPool>
+ThreadPool::forJobs(uint32_t threads, size_t jobs)
+{
+    unsigned workers = workersFor(threads, jobs);
+    if (workers <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(workers);
+}
+
+void
+ThreadPool::fanOut(uint32_t threads, size_t count,
+                   const std::function<void(size_t)> &body)
+{
+    std::unique_ptr<ThreadPool> pool = forJobs(threads, count);
+    if (pool) {
+        pool->parallelFor(count, body);
+        return;
+    }
+    for (size_t i = 0; i < count; ++i)
+        body(i);
 }
 
 ThreadPool::ThreadPool(unsigned threads)

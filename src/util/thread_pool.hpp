@@ -1,7 +1,8 @@
 /**
  * @file
  * Small work-stealing thread pool behind the FCC3 column jobs, the
- * per-chunk expansion and the query server.
+ * per-chunk expansion and the query server, plus the one fan-out
+ * helper every codec and query path sizes its workers with.
  *
  * Each worker owns a deque; submitted tasks are distributed
  * round-robin and an idle worker steals from the back of a peer's
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -51,6 +53,32 @@ class ThreadPool
 
     /** std::thread::hardware_concurrency(), never less than 1. */
     static unsigned hardwareThreads();
+
+    /**
+     * Workers a fan-out of @p jobs jobs runs on under the thread
+     * request @p threads (FccConfig::threads semantics: 0 means
+     * hardwareThreads()): min(resolved request, jobs), never below
+     * 1. A pool never has more workers than it has jobs.
+     */
+    static unsigned workersFor(uint32_t threads, size_t jobs);
+
+    /**
+     * A pool of workersFor(@p threads, @p jobs) workers, or null
+     * when that is 1 (the caller then runs its jobs inline). For
+     * callers that fan out several batches on one pool; a single
+     * batch should call fanOut().
+     */
+    static std::unique_ptr<ThreadPool> forJobs(uint32_t threads,
+                                               size_t jobs);
+
+    /**
+     * Run body(0) ... body(count - 1) on workersFor(@p threads,
+     * @p count) workers, or inline on the calling thread when that
+     * is 1. Jobs must write to fixed slots so the outcome does not
+     * depend on the worker count.
+     */
+    static void fanOut(uint32_t threads, size_t count,
+                       const std::function<void(size_t)> &body);
 
     /** Enqueue one task. */
     void submit(std::function<void()> task);

@@ -21,7 +21,6 @@
 #include "codec/field/field_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
@@ -373,12 +372,11 @@ TEST(ColumnarFuzz, ColumnStatsDescribeTheWireBytes)
     fccc::SizeBreakdown sizes;
     std::vector<fccc::ColumnStat> columns;
     auto bytes = fccc::serializeColumnar(
-        d, 64, backend::EntropyBackend::Deflate, sizes, nullptr,
-        &columns);
+        d, 64, backend::EntropyBackend::Deflate, sizes, 1, &columns);
     ASSERT_EQ(columns.size(), 12u);
 
     fccc::ContainerStat stat;
-    fccc::Datasets back = fccc::deserialize(bytes, nullptr, &stat);
+    fccc::Datasets back = fccc::deserialize(bytes, 1, &stat);
     expectSameDatasets(d, back);
     EXPECT_EQ(stat.version, 3);
     EXPECT_EQ(stat.sizes.total(), bytes.size());
@@ -398,17 +396,16 @@ TEST(ColumnarFuzz, ColumnStatsDescribeTheWireBytes)
 TEST(ColumnarFuzz, PoolAndPoolFreeBytesIdentical)
 {
     util::Rng rng(1234);
-    util::ThreadPool pool(4);
     for (int iter = 0; iter < 8; ++iter) {
         fccc::Datasets d = randomDatasets(rng);
         fccc::SizeBreakdown sizes;
         auto solo = fccc::serializeColumnar(
             d, 16, backend::EntropyBackend::Deflate, sizes);
         auto pooled = fccc::serializeColumnar(
-            d, 16, backend::EntropyBackend::Deflate, sizes, &pool);
+            d, 16, backend::EntropyBackend::Deflate, sizes, 4);
         EXPECT_EQ(solo, pooled);
         expectSameDatasets(fccc::deserialize(solo),
-                           fccc::deserialize(pooled, &pool));
+                           fccc::deserialize(pooled, 4));
     }
 }
 

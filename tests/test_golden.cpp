@@ -4,6 +4,9 @@
  * tests/golden/ (one per container/backend/layout/fidelity cell,
  * produced by tools/golden_gen.cpp) must keep decoding to the
  * committed byte-exact references with the committed metadata.
+ * Every packet-bearing archive decodes byte-exact through all three
+ * reconstruction front ends: decompress(), the streaming
+ * decompressToSink() and FccArchive::run(), indexed and full.
  * This is the tripwire for accidental wire-format changes — if a
  * case here fails, either revert the encoding change or bump the
  * format deliberately: regenerate the corpus with golden_gen and
@@ -25,6 +28,7 @@
 
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/stream.hpp"
 #include "query/aggregate.hpp"
 #include "query/query.hpp"
 #include "trace/tsh.hpp"
@@ -112,6 +116,28 @@ TEST(Golden, ArchivesDecodeByteExact)
         fccc::FccTraceCompressor codec{{}};
         trace::Trace decoded = codec.decompress(archive);
         EXPECT_EQ(trace::writeTsh(decoded), expected);
+
+        // The streaming drain and the query executor reconstruct
+        // through the same loop and must emit the same bytes.
+        for (uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(threads);
+            fccc::FccConfig cfg;
+            cfg.threads = threads;
+            trace::Trace drained;
+            trace::CollectTraceSink sink(drained);
+            fccc::decompressToSink(goldenPath(g.name), sink, cfg);
+            EXPECT_EQ(trace::writeTsh(drained), expected);
+        }
+        query::FccArchive archiveView(goldenPath(g.name));
+        for (bool forceFullDecode : {false, true}) {
+            SCOPED_TRACE(forceFullDecode ? "full decode" : "indexed");
+            trace::Trace queried;
+            trace::CollectTraceSink sink(queried);
+            query::QueryStats stats = archiveView.run(
+                query::Expr::matchAll(), sink, forceFullDecode);
+            EXPECT_EQ(stats.usedIndex, g.hasIndex && !forceFullDecode);
+            EXPECT_EQ(trace::writeTsh(queried), expected);
+        }
     }
 }
 

@@ -9,13 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "codec/compressor.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/stream.hpp"
+#include "query/query.hpp"
+#include "trace/source.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
+
+#include "test_common.hpp"
 
 using namespace fcc;
 
@@ -176,3 +183,72 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripParam{6, 16.0, 20.0},
                       RoundTripParam{7, 3.0, 60.0},
                       RoundTripParam{8, 5.0, 100.0}));
+
+// ---- overflowing reconstruction timing ------------------------------
+
+namespace {
+
+/**
+ * An FCC1 archive of two long flows whose second flow's stored
+ * inter-packet time pushes its packet past the nanosecond range:
+ * (2000 + 2305843009213692452) us * 1000 wraps to 500 000 ns, before
+ * the first flow starts.
+ */
+std::vector<uint8_t>
+overflowingArchive()
+{
+    namespace fccc = codec::fcc;
+    flow::Characterizer chi;
+    flow::PacketClass syn;
+    syn.flag = flow::FlagClass::Syn;
+    flow::PacketClass ack;
+    ack.flag = flow::FlagClass::Ack;
+    ack.dependent = true;
+
+    fccc::Datasets d;
+    d.addresses = {0x0a000001u};
+    for (uint64_t secondIpt : {uint64_t{100},
+                               uint64_t{2305843009213692452ull}}) {
+        fccc::LongTemplate tmpl;
+        tmpl.sValues = {chi.encode(syn), chi.encode(ack)};
+        tmpl.iptUs = {0, secondIpt};
+        d.longTemplates.push_back(tmpl);
+    }
+    for (uint32_t i = 0; i < 2; ++i) {
+        fccc::TimeSeqRecord rec;
+        rec.firstTimestampUs = 1000 * (i + 1);
+        rec.isLong = true;
+        rec.templateIndex = i;
+        d.timeSeq.push_back(rec);
+    }
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc1;
+    fccc::SizeBreakdown sizes;
+    return fccc::serializeDatasets(d, cfg, sizes);
+}
+
+} // namespace
+
+TEST(FccOverflow, WrappingTimestampsRejectedByEveryFrontEnd)
+{
+    std::vector<uint8_t> bytes = overflowingArchive();
+    codec::fcc::FccTraceCompressor codec;
+    EXPECT_THROW(codec.decompress(bytes), util::Error);
+
+    std::string path = fcc::test::tempPath("overflow.fcc");
+    {
+        util::FileByteSink out(path);
+        out.write(bytes);
+        out.close();
+    }
+    trace::Trace drained;
+    trace::CollectTraceSink sink(drained);
+    EXPECT_THROW(codec::fcc::decompressToSink(path, sink),
+                 util::Error);
+    trace::Trace queried;
+    trace::CollectTraceSink querySink(queried);
+    EXPECT_THROW(query::FccArchive(path).run(query::Expr::matchAll(),
+                                             querySink),
+                 util::Error);
+    std::remove(path.c_str());
+}

@@ -12,7 +12,10 @@
  * thread-count invariant, indexed queries match full decodes
  * bit-exactly, and a seeded fuzz sweep drives every generator
  * through its parameter edges (0 flows, 1 flow, max rate,
- * pathological tails).
+ * pathological tails). The reconstructor (codec/fcc/reconstruct.hpp)
+ * is checked against a test-local oracle — expand every record, sort
+ * once — through all three front ends on the chunked, unchunked and
+ * rotate-cut layouts.
  *
  * Set FCC_TEST_SMOKE=1 to shrink trace sizes and fuzz seeds (used
  * by the sanitizer CI jobs).
@@ -32,11 +35,13 @@
 #include "analysis/complexity.hpp"
 #include "codec/backend/backend.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/session.hpp"
 #include "codec/fcc/stream.hpp"
 #include "query/query.hpp"
 #include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 #include "test_common.hpp"
 
@@ -402,15 +407,16 @@ TEST(ScenarioRoundTrip, IndexedQueryMatchesFullDecode)
         trace::Trace full;
         {
             trace::CollectTraceSink sink(full);
-            auto stats = archive.run(query::Predicate{}, sink, true);
+            auto stats =
+                archive.run(query::Expr::matchAll(), sink, true);
             EXPECT_EQ(stats.packetsMatched, original.size());
         }
-        std::vector<query::Predicate> preds(1);
+        std::vector<query::Expr> preds;
+        preds.push_back(query::Expr::matchAll());
         uint64_t t0 = full.packets().front().timestampUs();
         uint64_t t1 = full.packets().back().timestampUs();
-        preds.push_back(query::Predicate{});
-        preds.back().timeUs = {t0 + (t1 - t0) / 4,
-                               t0 + (t1 - t0) / 2};
+        preds.push_back(query::Expr::timeWithin(t0 + (t1 - t0) / 4,
+                                                t0 + (t1 - t0) / 2));
         std::map<uint32_t, uint64_t> dstCounts;
         for (const auto &pkt : full.packets())
             ++dstCounts[pkt.dstIp];
@@ -421,10 +427,8 @@ TEST(ScenarioRoundTrip, IndexedQueryMatchesFullDecode)
                 topDst = ip;
                 topCount = count;
             }
-        preds.push_back(query::Predicate{});
-        preds.back().serverIp = topDst;
-        preds.push_back(query::Predicate{});
-        preds.back().minFlowPackets = 2;
+        preds.push_back(query::Expr::serverIs(topDst));
+        preds.push_back(query::Expr::minFlowPackets(2));
 
         for (size_t i = 0; i < preds.size(); ++i) {
             SCOPED_TRACE(i);
@@ -550,5 +554,146 @@ TEST(ScenarioFuzz, ParameterEdgesRoundTrip)
                 std::remove(tshIn.c_str());
             }
         }
+    }
+}
+
+// ---- the reconstructor against a reference ------------------------------
+
+namespace {
+
+/**
+ * Reference reconstruction, independent of the reconstructor: every
+ * record expanded from its chunk's RNG stream (one stream over an
+ * unchunked layout), then one global canonical sort.
+ */
+trace::Trace
+oracleExpand(const fccc::FccConfig &cfg, const fccc::Datasets &d)
+{
+    fccc::FccTraceCompressor codec(cfg);
+    std::vector<uint32_t> units = d.chunkSizes;
+    if (units.empty())
+        units.push_back(static_cast<uint32_t>(d.timeSeq.size()));
+    std::vector<trace::PacketRecord> packets;
+    size_t rec = 0;
+    for (size_t c = 0; c < units.size(); ++c) {
+        util::Rng rng(d.chunkSizes.empty()
+                          ? cfg.decompressSeed
+                          : fccc::chunkRngSeed(cfg.decompressSeed, c));
+        for (uint32_t i = 0; i < units[c]; ++i)
+            codec.expandFlow(d, d.timeSeq[rec++], rng, packets);
+    }
+    std::sort(packets.begin(), packets.end(),
+              trace::packetCanonicalLess);
+    return trace::Trace(std::move(packets));
+}
+
+/** Archive layouts the reconstructor expands. */
+enum class Layout { Chunked, Unchunked, RotateCut };
+
+const char *
+layoutName(Layout layout)
+{
+    switch (layout) {
+      case Layout::Chunked: return "chunked";
+      case Layout::Unchunked: return "unchunked";
+      case Layout::RotateCut: return "rotate-cut";
+    }
+    return "?";
+}
+
+/** Compress @p original into @p layout, reporting its config. */
+std::vector<uint8_t>
+compressLayout(const trace::Trace &original, Layout layout,
+               fccc::FccConfig &cfg)
+{
+    cfg = fccc::FccConfig{};
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    if (layout == Layout::Chunked)
+        cfg.chunkRecords = 16;
+    if (layout == Layout::Unchunked)
+        cfg.container = fccc::ContainerFormat::Fcc1;
+    if (layout == Layout::RotateCut)
+        cfg.index = true;
+    fccc::CompressSession session(cfg);
+    for (size_t i = 0; i < original.size(); ++i) {
+        session.feed(original[i]);
+        // Time cuts on top of the record-count slicing, as fccd
+        // rotates chunks.
+        if (layout == Layout::RotateCut && i % 97 == 96)
+            session.rotateChunk();
+    }
+    return session.seal();
+}
+
+} // namespace
+
+TEST(Reconstructor, MatchesOracleOnEveryLayoutAndThreadCount)
+{
+    for (trace::ScenarioKind kind : trace::allScenarios()) {
+        SCOPED_TRACE(trace::scenarioName(kind));
+        trace::ScenarioConfig scfg = scenarioTestConfig(kind, 1313);
+        trace::ScenarioGenerator gen(scfg);
+        trace::Trace original = gen.generate();
+        for (Layout layout :
+             {Layout::Chunked, Layout::Unchunked, Layout::RotateCut}) {
+            SCOPED_TRACE(layoutName(layout));
+            fccc::FccConfig cfg;
+            std::vector<uint8_t> bytes =
+                compressLayout(original, layout, cfg);
+            fccc::Datasets d = fccc::deserialize(bytes);
+            trace::Trace want = oracleExpand(cfg, d);
+            EXPECT_EQ(want.size(), original.size());
+
+            std::string path = tempPath("oracle.fcc");
+            {
+                std::ofstream out(path, std::ios::binary);
+                out.write(reinterpret_cast<const char *>(bytes.data()),
+                          static_cast<std::streamsize>(bytes.size()));
+            }
+            for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+                SCOPED_TRACE(threads);
+                cfg.threads = threads;
+                EXPECT_TRUE(sameTrace(
+                    fccc::FccTraceCompressor(cfg).expand(d), want));
+
+                trace::Trace drained;
+                trace::CollectTraceSink drainSink(drained);
+                fccc::decompressToSink(path, drainSink, cfg);
+                EXPECT_TRUE(sameTrace(drained, want));
+
+                trace::Trace queried;
+                trace::CollectTraceSink querySink(queried);
+                query::FccArchive(path, cfg).run(
+                    query::Expr::matchAll(), querySink);
+                EXPECT_TRUE(sameTrace(queried, want));
+            }
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST(Reconstructor, UnchunkedSlicesShareOneRngStream)
+{
+    // More records than one unchunked slice holds, squeezed so that
+    // equal timestamps straddle the slice boundaries.
+    trace::ScenarioConfig scfg = trace::scenarioDefaults(
+        trace::ScenarioKind::SynFlood, 4242);
+    scfg.flows = smokeTests() ? 5000 : 12000;
+    scfg.durationSec = 0.002;
+    trace::ScenarioGenerator gen(scfg);
+    trace::Trace original = gen.generate();
+
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc1;
+    std::vector<uint8_t> bytes =
+        fccc::FccTraceCompressor(cfg).compress(original);
+    fccc::Datasets d = fccc::deserialize(bytes);
+    ASSERT_GT(d.timeSeq.size(), 4096u);
+    trace::Trace want = oracleExpand(cfg, d);
+    for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        EXPECT_TRUE(sameTrace(
+            fccc::FccTraceCompressor(cfg).decompress(bytes), want));
     }
 }

@@ -2,14 +2,18 @@
  * @file
  * Tests of the trace substrate: packet model, TSH and pcap formats,
  * trace container operations, the synthetic Web workload generator
- * (including the paper's §3 aggregates) and the comparison-trace
- * transforms.
+ * (including the paper's §3 aggregates), the comparison-trace
+ * transforms and the canonical k-way merge.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
@@ -20,6 +24,7 @@
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 #include "test_common.hpp"
 
@@ -203,6 +208,68 @@ TEST(Tsh, FileRoundTrip)
     Trace back = readTshFile(path);
     EXPECT_EQ(back.size(), t.size());
     std::remove(path.c_str());
+}
+
+TEST(Tsh, EmptyTraceFileRoundTrips)
+{
+    std::string path = fcc::test::tempPath("empty.tsh");
+    writeTshFile(Trace{}, path);
+    EXPECT_TRUE(readTshFile(path).empty());
+    std::remove(path.c_str());
+}
+
+TEST(Tsh, WriteFileReportsFullDisk)
+{
+    // Buffered bytes only fail when flushed: the error must surface
+    // from the close, not vanish with an unchecked fclose.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Trace t;
+    t.add(samplePacket());
+    EXPECT_THROW(writeTshFile(t, "/dev/full"), util::Error);
+}
+
+TEST(Tsh, ReadMissingFileThrows)
+{
+    EXPECT_THROW(readTshFile(fcc::test::tempPath("absent.tsh")),
+                 util::Error);
+}
+
+// ---- canonical merge -----------------------------------------------------
+
+TEST(CanonicalMerge, EqualsSortOfConcatenation)
+{
+    // Runs with colliding timestamps and bit-identical packets
+    // across runs; the merge must equal one canonical sort.
+    util::Rng rng(99);
+    for (int round = 0; round < 50; ++round) {
+        size_t runCount = static_cast<size_t>(rng.uniformInt(0, 9));
+        std::vector<std::vector<PacketRecord>> runs(runCount);
+        std::vector<PacketRecord> all;
+        for (auto &run : runs) {
+            size_t n = static_cast<size_t>(rng.uniformInt(0, 40));
+            for (size_t i = 0; i < n; ++i) {
+                PacketRecord pkt = samplePacket(
+                    static_cast<uint64_t>(rng.uniformInt(0, 20)));
+                pkt.srcPort =
+                    static_cast<uint16_t>(rng.uniformInt(0, 3));
+                run.push_back(pkt);
+            }
+            std::sort(run.begin(), run.end(), packetCanonicalLess);
+            all.insert(all.end(), run.begin(), run.end());
+        }
+        std::sort(all.begin(), all.end(), packetCanonicalLess);
+
+        std::vector<std::span<const PacketRecord>> spans(runs.begin(),
+                                                         runs.end());
+        std::vector<PacketRecord> merged = {samplePacket(0)};
+        mergeCanonicalRuns(spans, merged);  // appends
+        ASSERT_EQ(merged.size(), all.size() + 1);
+        for (size_t i = 0; i < all.size(); ++i)
+            ASSERT_FALSE(packetCanonicalLess(merged[i + 1], all[i]) ||
+                         packetCanonicalLess(all[i], merged[i + 1]))
+                << "round " << round << ", packet " << i;
+    }
 }
 
 // ---- pcap format -----------------------------------------------------------

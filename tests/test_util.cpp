@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests of the util substrate: byte/bit I/O, checksums, RNG,
- * distributions and statistics.
+ * distributions, statistics and the thread-pool fan-out rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "util/bitstream.hpp"
 #include "util/bytes.hpp"
@@ -17,6 +20,7 @@
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace fcc::util;
 
@@ -492,4 +496,52 @@ TEST(Hash, Mix64IsBijectiveish)
     std::sort(seen.begin(), seen.end());
     EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()),
               seen.end());
+}
+
+// ---- thread-pool fan-out -------------------------------------------
+
+TEST(FanOut, WorkersNeverExceedJobs)
+{
+    // The rule every parallel codec and query path sizes its pool
+    // by: min(resolved request, jobs), at least one worker.
+    unsigned hw = ThreadPool::hardwareThreads();
+    EXPECT_EQ(ThreadPool::workersFor(1024, 12), 12u);
+    EXPECT_EQ(ThreadPool::workersFor(4, 12), 4u);
+    EXPECT_EQ(ThreadPool::workersFor(1, 12), 1u);
+    EXPECT_EQ(ThreadPool::workersFor(8, 1), 1u);
+    EXPECT_EQ(ThreadPool::workersFor(8, 0), 1u);
+    EXPECT_EQ(ThreadPool::workersFor(0, 1u << 20), hw);
+    EXPECT_EQ(ThreadPool::workersFor(0, 2), std::min(hw, 2u));
+
+    // One worker means no pool: the jobs run inline.
+    EXPECT_EQ(ThreadPool::forJobs(1024, 1), nullptr);
+    EXPECT_EQ(ThreadPool::forJobs(1, 100), nullptr);
+    auto pool = ThreadPool::forJobs(1024, 3);
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool->size(), 3u);
+}
+
+TEST(FanOut, RunsEveryJobOnce)
+{
+    for (uint32_t threads : {0u, 1u, 3u, 64u}) {
+        SCOPED_TRACE(threads);
+        std::vector<std::atomic<int>> hits(10);
+        ThreadPool::fanOut(threads, hits.size(),
+                           [&](size_t i) { ++hits[i]; });
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+    }
+
+    // Inline fan-out runs in index order on the calling thread.
+    std::vector<size_t> order;
+    ThreadPool::fanOut(1, 5, [&](size_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+
+    ThreadPool::fanOut(4, 0, [](size_t) { FAIL(); });
+    EXPECT_THROW(ThreadPool::fanOut(4, 8,
+                                    [](size_t i) {
+                                        if (i == 5)
+                                            throw Error("job 5");
+                                    }),
+                 Error);
 }
